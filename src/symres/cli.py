@@ -38,6 +38,8 @@ from symres.equivariant import (
 from symres.parser import (
     ParseError,
     emit_factored_json,
+    format_int,
+    parse_int,
     parse_system_file,
     print_coefficient,
 )
@@ -149,7 +151,7 @@ def _parse_coeff_spec(spec: str):
             raise ValueError(f"expected name=value, got {entry!r}")
         lam = _partition_from_name(name)
         try:
-            coeffs[lam] = int(value)
+            coeffs[lam] = parse_int(value)
         except ValueError:
             raise ValueError(
                 f"integer coefficient required in {entry!r}") from None
@@ -163,14 +165,18 @@ def _cmd_discriminant(args) -> int:
         form = SymmetricPoly.generic(args.n, args.d)
     else:
         spec = args.coeffs
-        if Path(spec).is_file():
+        try:
+            is_file = Path(spec).is_file()
+        except OSError:  # e.g. an inline list longer than a file name
+            is_file = False
+        if is_file:
             spec = _read_file(spec)
         form = SymmetricPoly(args.n, args.d, _parse_coeff_spec(spec))
     result = discriminant_decomposition(form, jobs=args.jobs)
     integral = all(c.is_constant() for c in form.coeffs.values())
     value = discriminant_value(form) if integral else None
     if args.format == "json":
-        print(json.dumps({
+        doc = json.dumps({
             "n": form.n,
             "d": form.d,
             "a": result.a,
@@ -180,15 +186,17 @@ def _cmd_discriminant(args) -> int:
                 {"expr": print_coefficient(v), "multiplicity": m}
                 for v, m in result.factored.factors
             ],
-            "value": value,
-        }, indent=2))
+        }, indent=2)
+        # json writes ints with str(), which refuses very long ones
+        number = "null" if value is None else format_int(value)
+        print(f'{doc[:-2]},\n  "value": {number}\n}}')
     else:
         print(f"normalization: {form.d}^{result.a} * Disc"
               + (" (with a global minus sign)" if result.sign else ""))
         _print_factors(result.factored,
                        _discriminant_labels(form.n, form.d))
         if value is not None:
-            print(f"Disc = {value}")
+            print(f"Disc = {format_int(value)}")
     return 0
 
 

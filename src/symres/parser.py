@@ -17,6 +17,43 @@ from typing import Dict, List, Optional, Tuple
 
 from symres.ring import Coefficient, Monomial, ParameterRing, Polynomial, grlex_key
 
+# Below the smallest digit limit Python lets int()/str() be set to (640),
+# so every piece converts whatever the interpreter-wide limit is.
+_DIGITS_PER_PIECE = 600
+_SIGNED_DIGITS_RE = re.compile(r"[+-]?\d+\Z")
+
+
+def format_int(k: int) -> str:
+    """Decimal text of an int of any length.
+
+    ``str`` refuses ints longer than ``sys.get_int_max_str_digits()``;
+    longer ones are split at a power of ten into pieces it accepts.
+    """
+    if k < 0:
+        return "-" + format_int(-k)
+    digits = int(k.bit_length() * 0.30103) + 1  # within one of the count
+    if digits <= _DIGITS_PER_PIECE:
+        return str(k)
+    low_digits = digits // 2
+    high, low = divmod(k, 10 ** low_digits)
+    return format_int(high) + format_int(low).zfill(low_digits)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for decimal text of any length."""
+    if len(text) <= _DIGITS_PER_PIECE:
+        return int(text)
+    text = text.strip()
+    if not _SIGNED_DIGITS_RE.match(text):
+        raise ValueError(f"invalid literal for int(): {text[:20]!r}...")
+    if text[0] in "+-":
+        value = parse_int(text[1:])
+        return -value if text[0] == "-" else value
+    low_digits = len(text) // 2
+    return (parse_int(text[:-low_digits]) * 10 ** low_digits
+            + parse_int(text[-low_digits:]))
+
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*^()]))")
 
@@ -186,7 +223,7 @@ class _Parser:
         zero_m = (0,) * self.ambient
         zero_p = (0,) * len(self.ring.params)
         if tok.kind == "int":
-            return _RawPoly({(zero_m, zero_p): int(tok.text)})
+            return _RawPoly({(zero_m, zero_p): parse_int(tok.text)})
         if tok.kind == "ident":
             m = self.var_re.match(tok.text)
             if m:
@@ -279,9 +316,9 @@ def print_coefficient(c: Coefficient) -> str:
         if syms and mag == 1:
             body = syms
         elif syms:
-            body = f"{mag}*{syms}"
+            body = f"{format_int(mag)}*{syms}"
         else:
-            body = str(mag)
+            body = format_int(mag)
         parts.append((k, body))
     return _join_signed(parts)
 
@@ -305,9 +342,9 @@ def print_poly(p, var_prefix: str = "x") -> str:
             if abs(k) == 1 and stem:
                 body = stem
             elif stem:
-                body = f"{abs(k)}*{stem}"
+                body = f"{format_int(abs(k))}*{stem}"
             else:
-                body = str(abs(k))
+                body = format_int(abs(k))
             parts.append((k, body))
         else:
             inner = print_coefficient(coeff)

@@ -7,6 +7,12 @@ degree t = sum(d_i - 1) + 1, each column holding one shifted input
 polynomial.  The quotient is normalized so that the pure power system
 x_1^{d_1}, ..., x_n^{d_n} has resultant exactly 1.
 
+The denominator, the small minor on the monomials divisible by two or
+more x_i^{d_i}, is computed first; the numerator is only computed once
+the denominator is known to be nonzero.  Over the empty parameter ring
+every entry is an integer constant, and ``determinant`` eliminates on
+plain ints.
+
 When the denominator determinant vanishes (the formula is degenerate
 for the given coefficients even though the resultant itself is fine)
 the system is rerun through a deterministic sequence of unimodular
@@ -129,14 +135,18 @@ def _unimodular_images(rng: random.Random, polys: Sequence[Polynomial]):
 
 
 def _try_quotient(polys: Sequence[Polynomial]):
+    """The Macaulay quotient, or None when its denominator vanishes.
+
+    The small dod minor is tested first, so a degenerate attempt never
+    pays for the full numerator determinant.
+    """
     rows, _, dod = macaulay_data(polys)
-    num = determinant(rows)
     if not dod:
-        return num
+        return determinant(rows)
     den = determinant([[rows[r][c] for c in dod] for r in dod])
     if den.is_zero():
         return None
-    return num.exact_div(den)
+    return determinant(rows).exact_div(den)
 
 
 def _perturbed_resultant(polys: Sequence[Polynomial]) -> Coefficient:

@@ -50,6 +50,20 @@ def monomial_quotient(a: Monomial, b: Monomial) -> Monomial:
     return q
 
 
+def _power(one, base, n: int):
+    """base ** n by square-and-multiply, starting from ``one``."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 @dataclass(frozen=True)
 class ParameterRing:
     """Ordered list of parameter symbol names; Z when empty."""
@@ -196,12 +210,7 @@ class Coefficient:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self.ring.one(), self, n)
 
     def exact_div(self, other) -> "Coefficient":
         """Exact quotient self/other in Z[params].
@@ -410,12 +419,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.ring, self.ambient, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(Polynomial.constant(self.ring, self.ambient, 1), self, n)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Exact quotient self/other; raises NotDivisibleError otherwise.
@@ -661,9 +665,104 @@ def determinant_bareiss(m):
     return rows[n - 1][n - 1] if sign > 0 else -rows[n - 1][n - 1]
 
 
+def _bareiss_int(rows: list) -> int:
+    """``determinant_bareiss`` on rows of plain ints, overwriting them.
+
+    Zero entries are skipped.  While the pivot equals the previous one
+    the scale is 1, so rows with a zero head keep their values and the
+    others change only where the pivot row is nonzero.  Every division
+    is still checked.
+    """
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        row_k = rows[k]
+        if not row_k[k]:
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], row_k
+                    row_k = rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = row_k[k]
+        cols = range(k + 1, n)
+        if pivot == prev:
+            support = [j for j in cols if row_k[j]]
+            for row_i in rows[k + 1:]:
+                head = row_i[k]
+                if head:
+                    for j in support:
+                        q, r = divmod(head * row_k[j], prev)
+                        if r:
+                            raise NotDivisibleError(
+                                f"{prev} does not divide {head * row_k[j]}")
+                        row_i[j] -= q
+        else:
+            for row_i in rows[k + 1:]:
+                head = row_i[k]
+                for j in cols:
+                    a = row_i[j]
+                    if a or head and row_k[j]:
+                        elt = pivot * a - head * row_k[j]
+                        q, r = divmod(elt, prev)
+                        if r:
+                            raise NotDivisibleError(
+                                f"{prev} does not divide {elt}")
+                        row_i[j] = q
+        prev = pivot
+    last = rows[n - 1][n - 1]
+    return last if sign > 0 else -last
+
+
+def _lowered(rows: list):
+    """The rows as plain ints and the map back to the entry type.
+
+    Returns None unless every entry is an int, or every entry is a
+    parameter-free Coefficient of one ring.
+    """
+    first = rows[0][0]
+    if isinstance(first, int):
+        if all(isinstance(x, int) for row in rows for x in row):
+            return rows, int
+        return None
+    if not isinstance(first, Coefficient):
+        return None
+    ring = first.ring
+    unit = (0,) * len(ring.params)
+    ints = []
+    for row in rows:
+        out = []
+        for x in row:
+            if not isinstance(x, Coefficient) or (
+                    x.ring is not ring and x.ring != ring):
+                return None
+            terms = x.terms
+            if not terms:
+                out.append(0)
+            elif len(terms) == 1 and unit in terms:
+                out.append(terms[unit])
+            else:
+                return None
+        ints.append(out)
+    return ints, ring.constant
+
+
 def determinant(m):
-    """Exact determinant; cofactor expansion for dim <= 4, else Bareiss."""
+    """Exact determinant, the one entry point for matrices of any ring.
+
+    A matrix with no parameter in any entry is eliminated over plain
+    ints and the value lifted back, so Coefficient entries give a
+    Coefficient and int entries an int.  Other matrices use cofactor
+    expansion for dim <= 4, else Bareiss.
+    """
     rows = _as_rows(m)
+    lowered = _lowered(rows)
+    if lowered is not None:
+        ints, lift = lowered
+        return lift(_bareiss_int(ints))
     if len(rows) <= 4:
         return determinant_cofactor(rows)
     return determinant_bareiss(rows)

@@ -45,6 +45,14 @@ class TestResultant:
         assert cli.main(["resultant", "/no/such/file.sys"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_integers_beyond_the_int_str_limit(self, tmp_path, capsys):
+        # 4401 digits, over Python's default 4300-digit int/str limit
+        path = tmp_path / "big.sys"
+        path.write_text("n=2 d=1 params=\n" + "7" * 4401
+                        + "*x1 + x2\nx1 + x2\n")
+        assert cli.main(["resultant", str(path)]) == 0
+        assert capsys.readouterr().out == "7" * 4400 + "6\n"
+
 
 class TestDecompose:
     def test_json_is_byte_stable(self, linear_file, capsys):
@@ -106,6 +114,18 @@ class TestDiscriminant:
         cli.main(["discriminant", "--n", "4", "--d", "3",
                   "--coeffs", "c3=1,c21=-1", "--format", "json"])
         assert '"value": -5' in capsys.readouterr().out
+
+    def test_values_beyond_the_int_str_limit(self, capsys):
+        # an inline list longer than a file name, and a value of about
+        # 6000 digits, over Python's default 4300-digit int/str limit
+        spec = "c2=1" + "0" * 3000 + ",c11=1"
+        args = ["discriminant", "--n", "2", "--d", "2", "--coeffs", spec]
+        assert cli.main(args) == 0
+        text = capsys.readouterr().out.split("Disc = ")[1].strip()
+        assert cli.main(args + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert len(text) > 6000
+        assert out.endswith(f'  "value": {text}\n}}\n')
 
     def test_bracket_names_match_concatenated(self, capsys):
         cli.main(["discriminant", "--n", "4", "--d", "3",

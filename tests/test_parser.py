@@ -9,7 +9,9 @@ import pytest
 from symres.parser import (
     ParseError,
     emit_factored_json,
+    format_int,
     parse_coefficient,
+    parse_int,
     parse_poly,
     parse_system_file,
     print_coefficient,
@@ -142,6 +144,34 @@ def test_round_trip_random_coefficients():
     for _ in range(40):
         c = random_coefficient(rng, ABCD, max_degree=3, n_terms=4)
         assert parse_coefficient(print_coefficient(c), ABCD) == c
+
+
+def test_round_trip_beyond_the_int_str_limit():
+    # 5000 digits, over Python's default 4300-digit int/str limit
+    k = 10 ** 4999 + 12345
+    text = "1" + "0" * 4994 + "12345"
+    for c, want in ((ABCD.constant(k), text),
+                    (ABCD.constant(-k), "-" + text),
+                    (ABCD.constant(k) * ABCD.parameter("a"), text + "*a")):
+        assert print_coefficient(c) == want
+        assert parse_coefficient(want, ABCD) == c
+    p = Polynomial(ABCD, 2, 1, {(1, 0): ABCD.constant(k),
+                                (0, 1): ABCD.constant(-k) * ABCD.parameter("b")})
+    assert print_poly(p) == f"{text}*x1 - {text}*b*x2"
+    assert parse_poly(print_poly(p), 2, ABCD, degree=1) == p
+
+
+def test_format_and_parse_int_split_long_numbers():
+    rng = random.Random(107)
+    for digits in (1, 599, 600, 601, 1300, 9001):
+        k = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        text = format_int(k)
+        assert len(text) == digits and text[0] != "0"
+        assert parse_int(text) == k and format_int(-k) == "-" + text
+        assert parse_int("-" + text) == -k
+    assert format_int(10 ** 1200) == "1" + "0" * 1200
+    with pytest.raises(ValueError):
+        parse_int("12" * 400 + "x")
 
 
 def test_parse_system_file():

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+import symres.resultant as resultant_module
 from conftest import random_int_polynomial
 from symres.parser import parse_poly
 from symres.resultant import (
@@ -207,6 +208,26 @@ class TestDegenerateDenominator:
         want = oracle_resultant(self.FORMS, 3)
         assert want == Z.constant(-11520)
         assert macaulay_resultant(polys) == want
+
+    def test_vanishing_denominator_skips_numerator(self, monkeypatch):
+        # An equivariant (3, 2) system, slot values (1, -3, 3, 2), whose
+        # dod minor vanishes as given and after every shear; the value
+        # comes from the perturbation.
+        e1 = "(x1 + x2 + x3)"
+        polys = [parse_poly(f"x{i}^2 - 3*x{i}*{e1} + 3*(x1*x2 + x1*x3 + "
+                            f"x2*x3) + 2*{e1}*{e1}", 3, Z, degree=2)
+                 for i in (1, 2, 3)]
+        dims = []
+
+        def counting(m):
+            dims.append(len(m))
+            return determinant(m)
+
+        monkeypatch.setattr(resultant_module, "determinant", counting)
+        assert macaulay_resultant(polys) == Z.constant(-886464)
+        rows, _, dod = macaulay_data(polys)
+        failed = 1 + resultant_module.MAX_UNIMODULAR_RETRIES
+        assert dims == [len(dod)] * failed + [len(rows), len(dod)]
 
 
 class TestPerturbationFallback:

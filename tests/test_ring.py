@@ -4,6 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symres.ring import (
     Coefficient,
@@ -320,3 +321,71 @@ def test_square_matrix_validation():
     m = SquareMatrix([[1, 2], [3, 4]])
     assert m.dim == 2 and m[1, 0] == 3
     assert determinant(m) == -2
+
+
+# --- integer fast path -------------------------------------------------------
+
+Z = ParameterRing()
+T = ParameterRing(("t",))
+
+
+@st.composite
+def int_matrices(draw):
+    """Square int matrices of size 1-12, zero-heavy so pivots need swaps;
+    some are made singular by a row that is a multiple of another."""
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_int_determinant_matches_slow_routes(rows):
+    before = [list(row) for row in rows]
+    value = determinant(rows)
+    assert rows == before
+    assert type(value) is int
+    if len(rows) <= 7:
+        assert determinant_cofactor(rows) == value
+    # the generic loop, kept symbolic by a one-parameter ring
+    assert determinant_bareiss(
+        [[T.constant(v) for v in row] for row in rows]) == T.constant(value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(int_matrices())
+def test_constant_coefficient_matrix_lifts_back(rows):
+    value = determinant(rows)
+    for ring in (Z, T):
+        lifted = determinant([[ring.constant(v) for v in row] for row in rows])
+        assert isinstance(lifted, Coefficient) and lifted.ring == ring
+        assert lifted == ring.constant(value)
+
+
+def test_int_determinant_forced_row_swaps_and_singular():
+    rows = [[0, 0, 2, 1], [0, 3, 1, 0], [5, 1, 0, 0], [1, 1, 1, 1]]
+    assert determinant(rows) == det_permutation_expansion(rows)
+    assert determinant([[0, 1], [0, 2]]) == 0
+    assert determinant([[7]]) == 7
+
+
+# --- powers ------------------------------------------------------------------
+
+def test_powers_match_repeated_products():
+    rng = random.Random(53)
+    ring = ParameterRing(("a", "b"))
+    for _ in range(3):
+        c = random_coefficient(rng, ring, max_degree=2, n_terms=3)
+        p = random_polynomial(rng, ring, 2, 2, n_terms=3)
+        c_acc, p_acc = ring.one(), Polynomial.constant(ring, 2, 1)
+        for e in range(10):
+            assert c ** e == c_acc
+            power = p ** e
+            assert power == p_acc and power.degree == p_acc.degree
+            c_acc, p_acc = c_acc * c, p_acc * p
