@@ -22,11 +22,10 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Tuple
 
-from symres.combinatorics import Partition, partitions
+from symres.combinatorics import Partition
 from symres.discriminant import (
     SymmetricPoly,
     discriminant_decomposition,
-    discriminant_value,
     partial_derivatives,
 )
 from symres.divdiff import EquivarianceError, EquivariantSystem
@@ -50,20 +49,11 @@ def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _print_factors(factored, labels) -> None:
+def _print_factors(factored) -> None:
     print(f"prefactor: {print_coefficient(factored.prefactor)}")
-    for lam, (value, mult) in zip(labels, factored.factors):
+    for lam, (value, mult) in zip(factored.partitions, factored.factors):
         print(f"lambda {lam}: multiplicity {mult}: "
               f"{print_coefficient(value)}")
-
-
-def _resultant_labels(n: int, d: int):
-    # mirror of the branch rule in decompose_resultant
-    return partitions(n) if d >= n else partitions(n, max_length=d)
-
-
-def _discriminant_labels(n: int, d: int):
-    return partitions(n) if d > n else partitions(n, max_length=d - 1)
 
 
 def _cmd_resultant(args) -> int:
@@ -83,7 +73,7 @@ def _cmd_decompose(args) -> int:
     if args.format == "json":
         print(emit_factored_json(factored))
     else:
-        _print_factors(factored, _resultant_labels(system.n, system.d))
+        _print_factors(factored)
     return 0
 
 
@@ -105,13 +95,16 @@ def _cmd_verify(args) -> int:
 
 
 def _partition_from_name(name: str) -> Partition:
-    """c21 -> (2,1); c[12,1] -> (12,1).  Single digits concatenate."""
+    """c21 -> (2,1); c_12_1 or c[12,1] -> (12,1).  Single digits
+    concatenate; ``coefficient_name`` prints the first two forms."""
     if not name.startswith("c"):
         raise ValueError(f"coefficient names start with 'c': {name!r}")
     body = name[1:]
     try:
         if body.startswith("[") and body.endswith("]"):
             parts = tuple(int(s) for s in body[1:-1].split(","))
+        elif body.startswith("_"):
+            parts = tuple(int(s) for s in body[1:].split("_"))
         elif body.isdigit() and body:
             parts = tuple(int(ch) for ch in body)
         else:
@@ -119,8 +112,8 @@ def _partition_from_name(name: str) -> Partition:
         return Partition(parts)
     except ValueError:
         raise ValueError(
-            f"cannot read a partition from {name!r}; use e.g. c21 "
-            "or c[2,1]") from None
+            f"cannot read a partition from {name!r}; use e.g. c21, "
+            "c_12_1 or c[12,1]") from None
 
 
 def _split_entries(spec: str) -> List[str]:
@@ -174,7 +167,7 @@ def _cmd_discriminant(args) -> int:
         form = SymmetricPoly(args.n, args.d, _parse_coeff_spec(spec))
     result = discriminant_decomposition(form, jobs=args.jobs)
     integral = all(c.is_constant() for c in form.coeffs.values())
-    value = discriminant_value(form) if integral else None
+    value = result.value() if integral else None
     if args.format == "json":
         doc = json.dumps({
             "n": form.n,
@@ -193,8 +186,7 @@ def _cmd_discriminant(args) -> int:
     else:
         print(f"normalization: {form.d}^{result.a} * Disc"
               + (" (with a global minus sign)" if result.sign else ""))
-        _print_factors(result.factored,
-                       _discriminant_labels(form.n, form.d))
+        _print_factors(result.factored)
         if value is not None:
             print(f"Disc = {format_int(value)}")
     return 0
@@ -245,8 +237,8 @@ def _identity_suite() -> List[Tuple[str, Callable[[], bool]]]:
     def clebsch_surface():
         F = SymmetricPoly(4, 3, {(3,): 1, (2, 1): -1})
         direct = macaulay_resultant(partial_derivatives(F).polys)
-        return (discriminant_value(F) == -5
-                and direct.constant_value() == 3 ** 5 * -5)
+        return (direct == 3 ** 5 * -5
+                and discriminant_decomposition(F).normalized() == direct)
 
     return [
         ("linear equivariant decomposition (n = 3)", linear_decomposition),

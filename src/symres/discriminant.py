@@ -21,16 +21,14 @@ from typing import Dict, List, Optional
 
 from symres.combinatorics import (
     Partition,
-    m_lambda,
     m_zero_discriminant,
     partitions,
 )
 from symres.divdiff import DividedDifferenceTable, EquivariantSystem
 from symres.equivariant import (
     FactoredResultant,
-    _chain_resultants,
     elementary_symmetric,
-    specialize_chain,
+    factor_chains,
 )
 from symres.resultant import macaulay_resultant
 from symres.ring import Coefficient, ParameterRing, Polynomial
@@ -146,16 +144,27 @@ class DiscriminantResult:
 
     ``normalized`` is (-1)^sign times the expanded product; for d <= n
     the prefactor of ``factored`` is the pure power c_(d)^{m_0} and the
-    sign is n - 1 mod 2 when d = 2, zero otherwise.
+    sign is n - 1 mod 2 when d = 2, zero otherwise.  ``d`` is the degree
+    of the form.
     """
 
     a: int
     sign: int
     factored: FactoredResultant
+    d: int
 
     def normalized(self) -> Coefficient:
         value = self.factored.expand()
         return -value if self.sign else value
+
+    def value(self) -> int:
+        """Disc(F) for integer coefficients: ``normalized`` divided by
+        d^a, a remainder raising ArithmeticError."""
+        q, r = divmod(self.normalized().constant_value(), self.d ** self.a)
+        if r:
+            raise ArithmeticError(
+                f"factored resultant is not divisible by {self.d}^{self.a}")
+        return q
 
 
 def discriminant_decomposition(F: SymmetricPoly,
@@ -178,19 +187,16 @@ def discriminant_decomposition(F: SymmetricPoly,
         lams = list(partitions(n, max_length=d - 1))
         prefactor = F.coefficient((d,)) ** m_zero_discriminant(n, d)
         sign = (n - 1) % 2 if d == 2 else 0
-    chains = [specialize_chain(table, lam) for lam in lams]
-    values = _chain_resultants(chains, jobs)
-    factors = tuple((value, m_lambda(lam))
-                    for lam, value in zip(lams, values))
     return DiscriminantResult(a_exponent(n, d), sign,
-                              FactoredResultant(prefactor, factors))
+                              factor_chains(table, lams, prefactor, jobs), d)
 
 
 def discriminant_value(F: SymmetricPoly) -> int:
     """Disc(F) for integer coefficients, by the direct resultant route.
 
     Computes the Macaulay resultant of the partials without any
-    decomposition and strips the factor d^{a(n,d)}.  That division is
+    decomposition and strips the factor d^{a(n,d)}; it is the oracle
+    for ``DiscriminantResult.value``, the factored route.  That division is
     exact by the definition of the discriminant, so a nonzero
     remainder can only mean a bug upstream.
     """

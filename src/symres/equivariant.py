@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from symres.combinatorics import (
     Partition,
@@ -26,7 +26,7 @@ from symres.combinatorics import (
     partitions,
 )
 from symres.divdiff import DividedDifferenceTable, EquivariantSystem
-from symres.resultant import macaulay_resultant
+from symres.resultant import macaulay_resultant, resultant
 from symres.ring import Coefficient, NotDivisibleError, ParameterRing, Polynomial
 
 
@@ -113,14 +113,21 @@ def specialize_chain(table: DividedDifferenceTable,
 
 @dataclass(frozen=True)
 class FactoredResultant:
-    """A resultant as prefactor times a product of factor powers."""
+    """A resultant as prefactor times a product of factor powers.
+
+    ``partitions`` labels the factors, one partition per factor in the
+    same order; it is empty for an unlabelled product.
+    """
 
     prefactor: Coefficient
     factors: Tuple[Tuple[Coefficient, int], ...]
+    partitions: Tuple[Partition, ...] = ()
 
     def __post_init__(self):
         if any(mult < 1 for _, mult in self.factors):
             raise ValueError("multiplicities must be positive")
+        if self.partitions and len(self.partitions) != len(self.factors):
+            raise ValueError("one partition per factor expected")
 
     def expand(self) -> Coefficient:
         out = self.prefactor
@@ -129,13 +136,20 @@ class FactoredResultant:
         return out
 
 
-def _chain_resultants(chains: Sequence[SpecializedSystem],
-                      jobs: int) -> List[Coefficient]:
+def factor_chains(table: DividedDifferenceTable, lams: Sequence[Partition],
+                  prefactor: Coefficient, jobs: int = 1) -> FactoredResultant:
+    """The chain resultants of the given partitions, labelled, each with
+    its multiplicity m_lambda, behind the given prefactor."""
+    chains = [specialize_chain(table, lam) for lam in lams]
     if jobs > 1 and len(chains) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(
-                lambda chain: macaulay_resultant(chain.polys), chains))
-    return [macaulay_resultant(chain.polys) for chain in chains]
+            values = list(pool.map(
+                lambda chain: resultant(chain.polys), chains))
+    else:
+        values = [resultant(chain.polys) for chain in chains]
+    factors = tuple((value, m_lambda(lam))
+                    for lam, value in zip(lams, values))
+    return FactoredResultant(prefactor, factors, tuple(lams))
 
 
 def decompose_resultant(system: EquivariantSystem,
@@ -156,11 +170,7 @@ def decompose_resultant(system: EquivariantSystem,
     else:
         lams = list(partitions(n, max_length=d))
         prefactor = table.top_constant() ** m_zero_resultant(n, d)
-    chains = [specialize_chain(table, lam) for lam in lams]
-    values = _chain_resultants(chains, jobs)
-    factors = tuple((value, m_lambda(lam))
-                    for lam, value in zip(lams, values))
-    return FactoredResultant(prefactor, factors)
+    return factor_chains(table, lams, prefactor, jobs)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,28 @@ the system is rerun through a deterministic sequence of unimodular
 changes of variables, which leave the resultant unchanged.  Systems
 degenerate in every coordinate system fall back to a one-parameter
 diagonal perturbation whose value at zero is the resultant.
+
+``resultant`` is the dispatch the decomposition chains go through.
+When a system of n >= 3 polynomials ends in a linear form
+L = sum c_k y_k, it removes one variable before the Macaulay quotient.
+With pivot j (c_j != 0, fewest parameter terms, last on a tie) let
+H_i = F_i(y_k -> c_j y_k for k != j, y_j -> -sum_{k != j} c_k y_k), a
+system in the n - 1 other variables kept in order.  The coordinate
+change has determinant c_j^(n-1) and turns L into c_j y_j, so with
+D = prod_{i<n} deg F_i
+
+    Res(F) = (-1)^((n-1-j) D) * Res(H) / c_j^((n-2) D),
+
+the division being exact (Cox, Little and O'Shea, *Using Algebraic
+Geometry*, ch. 3).  Any other system goes to ``macaulay_resultant``
+unchanged, and that direct quotient stays the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from symres.ring import (
@@ -208,6 +224,41 @@ def macaulay_resultant(polys: Sequence[Polynomial]) -> Coefficient:
         if value is not None:
             return value
     return _perturbed_resultant(polys)
+
+
+def _linear_pivot(coeffs: Sequence[Coefficient]) -> int:
+    """Index of the nonzero coefficient with the fewest parameter terms,
+    the last such index on a tie."""
+    return min((k for k, c in enumerate(coeffs) if not c.is_zero()),
+               key=lambda k: (len(coeffs[k].terms), -k))
+
+
+def resultant(polys: Sequence[Polynomial]) -> Coefficient:
+    """The resultant, with a trailing linear form eliminated first.
+
+    Systems of at least three polynomials whose last entry has degree
+    one are reduced to n - 1 variables as the module docstring
+    describes; everything else is ``macaulay_resultant`` itself.
+    """
+    if len(polys) < 3 or polys[-1].degree != 1 \
+            or any(p.is_zero() for p in polys):
+        return macaulay_resultant(polys)
+    _validate_system(polys)
+    n = len(polys)
+    ring = polys[0].ring
+    coeffs = [polys[-1].coefficient_of(tuple(int(i == k) for i in range(n)))
+              for k in range(n)]
+    j = _linear_pivot(coeffs)
+    pivot = coeffs[j]
+    kept = [k for k in range(n) if k != j]
+    zs = [Polynomial.variable(ring, n - 1, i) for i in range(n - 1)]
+    images = {k: z * pivot for k, z in zip(kept, zs)}
+    images[j] = sum((z * -coeffs[k] for k, z in zip(kept, zs)),
+                    Polynomial.zero(ring, n - 1, 1))
+    reduced = [p.substitute(images) for p in polys[:-1]]
+    D = prod(p.degree for p in polys[:-1])
+    value = macaulay_resultant(reduced).exact_div(pivot ** ((n - 2) * D))
+    return -value if (n - 1 - j) * D % 2 else value
 
 
 def sylvester_matrix(f: Polynomial, g: Polynomial):

@@ -4,6 +4,7 @@ import pytest
 
 from symres import cli
 from symres.combinatorics import Partition
+from symres.discriminant import basis_partitions, coefficient_name
 
 LINEAR_SYSTEM = """\
 n=3 d=1 params=a,b
@@ -103,6 +104,126 @@ class TestVerify:
         assert "equal: NO" in capsys.readouterr().out
 
 
+CLEBSCH_TEXT = """\
+normalization: 3^5 * Disc
+prefactor: 1
+lambda (4): multiplicity 1: -15
+lambda (3,1): multiplicity 4: -3
+lambda (2,2): multiplicity 3: 1
+Disc = -5
+"""
+
+QUARTIC_ARGS = ["discriminant", "--n", "3", "--d", "4",
+                "--coeffs", "c31=1, c22=2, c211=-1, c1111=3"]
+
+QUARTIC_TEXT = """\
+normalization: 4^7 * Disc
+prefactor: 1
+lambda (3): multiplicity 1: 316
+lambda (2,1): multiplicity 3: 226648
+lambda (1,1,1): multiplicity 1: 64
+Disc = 14371522877652712
+"""
+
+QUARTIC_JSON = """\
+{
+  "n": 3,
+  "d": 4,
+  "a": 7,
+  "sign": 0,
+  "prefactor": "1",
+  "factors": [
+    {
+      "expr": "316",
+      "multiplicity": 1
+    },
+    {
+      "expr": "226648",
+      "multiplicity": 3
+    },
+    {
+      "expr": "64",
+      "multiplicity": 1
+    }
+  ],
+  "value": 14371522877652712
+}
+"""
+
+QUADRIC_JSON = """\
+{
+  "n": 4,
+  "d": 2,
+  "a": 0,
+  "sign": 1,
+  "prefactor": "27",
+  "factors": [
+    {
+      "expr": "-7",
+      "multiplicity": 1
+    }
+  ],
+  "value": 189
+}
+"""
+
+GENERIC_CUBIC_TEXT = """\
+normalization: 3^3 * Disc
+prefactor: c3^2
+lambda (3): multiplicity 1: c3 + 9*c21 + 27*c111
+lambda (2,1): multiplicity 3: 3*c3^2*c111 - 3*c3*c21^2 - 3*c21^3
+"""
+
+INT_QUADRATIC_SYSTEM = """\
+n=4 d=2 params=
+3*x1^2 - 6*x1*x2 - 6*x1*x3 - 6*x1*x4 - 3*x2^2 - 9*x2*x3 - 9*x2*x4 - 3*x3^2 \
+- 9*x3*x4 - 3*x4^2
+-3*x1^2 - 6*x1*x2 - 9*x1*x3 - 9*x1*x4 + 3*x2^2 - 6*x2*x3 - 6*x2*x4 - 3*x3^2 \
+- 9*x3*x4 - 3*x4^2
+-3*x1^2 - 9*x1*x2 - 6*x1*x3 - 9*x1*x4 - 3*x2^2 - 6*x2*x3 - 9*x2*x4 + 3*x3^2 \
+- 6*x3*x4 - 3*x4^2
+-3*x1^2 - 9*x1*x2 - 9*x1*x3 - 6*x1*x4 - 3*x2^2 - 9*x2*x3 - 6*x2*x4 - 3*x3^2 \
+- 6*x3*x4 + 3*x4^2
+"""
+
+INT_QUADRATIC_TEXT = """\
+prefactor: 59049
+lambda (4): multiplicity 1: -51
+lambda (3,1): multiplicity 4: 432
+lambda (2,2): multiplicity 3: 729
+"""
+
+
+class TestByteStableOutput:
+    """Exact text and JSON, as printed when the labels were recomputed
+    in the CLI and ``Disc`` came from the direct quotient."""
+
+    def run(self, capsys, args):
+        assert cli.main(args) == 0
+        return capsys.readouterr().out
+
+    def test_discriminant_text(self, capsys):
+        assert self.run(capsys, ["discriminant", "--n", "4", "--d", "3",
+                                 "--coeffs", "c3=1,c21=-1,c111=0"]) \
+            == CLEBSCH_TEXT
+        assert self.run(capsys, QUARTIC_ARGS) == QUARTIC_TEXT
+        assert self.run(capsys, ["discriminant", "--n", "3", "--d", "3"]) \
+            == GENERIC_CUBIC_TEXT
+
+    def test_discriminant_json(self, capsys):
+        assert self.run(capsys, QUARTIC_ARGS + ["--format", "json"]) \
+            == QUARTIC_JSON
+        assert self.run(capsys, ["discriminant", "--n", "4", "--d", "2",
+                                 "--coeffs", "c2=3,c11=-2",
+                                 "--format", "json"]) == QUADRIC_JSON
+
+    def test_decompose_labels_shorter_partitions(self, tmp_path, capsys):
+        path = tmp_path / "quadratic.sys"
+        path.write_text(INT_QUADRATIC_SYSTEM)
+        assert self.run(capsys, ["decompose", str(path)]) == \
+            INT_QUADRATIC_TEXT
+
+
 class TestDiscriminant:
     def test_inline_integer_coefficients(self, capsys):
         code = cli.main(["discriminant", "--n", "4", "--d", "3",
@@ -170,6 +291,20 @@ class TestPartitionNames:
         for bad in ("d3", "c", "c[]", "c2a"):
             with pytest.raises(ValueError):
                 cli._partition_from_name(bad)
+
+    def test_underscore_form(self):
+        assert cli._partition_from_name("c_12_1") == Partition((12, 1))
+        assert cli._partition_from_name("c_10") == Partition((10,))
+        for bad in ("c_", "c_12__1", "c_1a"):
+            with pytest.raises(ValueError):
+                cli._partition_from_name(bad)
+        assert cli._parse_coeff_spec("c_10=1, c_9_1=-2") == {
+            Partition((10,)): 1, Partition((9, 1)): -2}
+
+    @pytest.mark.parametrize("d", [10, 11, 12])
+    def test_printed_names_round_trip(self, d):
+        for lam in basis_partitions(d, d):
+            assert cli._partition_from_name(coefficient_name(lam)) == lam
 
 
 class TestSelfcheck:

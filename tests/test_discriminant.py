@@ -1,6 +1,7 @@
 """Discriminant decomposition against closed forms and the direct oracle."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,11 @@ from symres.discriminant import (
     partial_derivatives,
 )
 from symres.divdiff import DividedDifferenceTable, check_equivariance
-from symres.equivariant import decompose_resultant, elementary_symmetric
+from symres.equivariant import (
+    FactoredResultant,
+    decompose_resultant,
+    elementary_symmetric,
+)
 from symres.parser import parse_poly
 from symres.resultant import macaulay_resultant
 from symres.ring import ParameterRing, Polynomial
@@ -271,6 +276,38 @@ class TestDiscriminantValue:
                 assert got.normalized() == direct, (n, coeffs)
                 assert direct.constant_value() == \
                     discriminant_value(F) * 3 ** got.a
+
+
+class TestFactoredValue:
+    """``DiscriminantResult.value`` against the direct ``discriminant_value``."""
+
+    def test_clebsch_cubic_surface(self):
+        F = SymmetricPoly(4, 3, {(3,): 1, (2, 1): -1, (1, 1, 1): 0})
+        assert discriminant_decomposition(F).value() == \
+            discriminant_value(F) == -5
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (4, 2), (6, 2)])
+    def test_seeded_integer_forms(self, n, d):
+        rng = random.Random(10 * n + d)
+        for _ in range(2):
+            coeffs = {lam: rng.randint(-3, 3)
+                      for lam in basis_partitions(n, d)}
+            coeffs[next(iter(coeffs))] = rng.choice((-2, -1, 1, 2))
+            F = SymmetricPoly(n, d, coeffs)
+            assert discriminant_decomposition(F).value() == \
+                discriminant_value(F), coeffs
+
+    def test_remainder_raises(self):
+        F = SymmetricPoly(4, 3, {(3,): 1, (2, 1): -1})
+        result = discriminant_decomposition(F)
+        off = replace(result, factored=FactoredResultant(
+            F.ring.constant(3 ** result.a + 1), ()))
+        with pytest.raises(ArithmeticError):
+            off.value()
+
+    def test_symbolic_form_has_no_value(self):
+        with pytest.raises(ValueError):
+            discriminant_decomposition(SymmetricPoly.generic(3, 2)).value()
 
 
 class TestStructuralInvariants:

@@ -162,6 +162,19 @@ class TestFactoredResultant:
         with pytest.raises(ValueError):
             FactoredResultant(ring.one(), ((ring.parameter("a"), 0),))
 
+    def test_rejects_label_count_mismatch(self):
+        ring = ParameterRing(("a",))
+        with pytest.raises(ValueError):
+            FactoredResultant(ring.one(), ((ring.parameter("a"), 1),),
+                              (Partition((2,)), Partition((1, 1))))
+
+    def test_decomposition_labels_its_factors(self):
+        for n, d in ((3, 1), (4, 2), (3, 3)):
+            rng = random.Random(n + d)
+            system = random_integer_equivariant_system(rng, n, d)
+            got = decompose_resultant(system).partitions
+            assert got == tuple(partitions(n, max_length=min(n, d)))
+
 
 class TestDecomposeLinear:
     def test_prefactor_and_single_factor(self):
