@@ -69,7 +69,7 @@ def _cmd_resultant(args) -> int:
 def _cmd_decompose(args) -> int:
     parsed = parse_system_file(_read_file(args.file))
     system = EquivariantSystem(list(parsed.polys))
-    factored = decompose_resultant(system, jobs=args.jobs)
+    factored = decompose_resultant(system)
     if args.format == "json":
         print(emit_factored_json(factored))
     else:
@@ -80,7 +80,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     parsed = parse_system_file(_read_file(args.file))
     system = EquivariantSystem(list(parsed.polys))
-    report = verify_decomposition(system, jobs=args.jobs)
+    report = verify_decomposition(system)
     if args.format == "json":
         print(json.dumps({
             "equal": report.equal,
@@ -165,7 +165,7 @@ def _cmd_discriminant(args) -> int:
         if is_file:
             spec = _read_file(spec)
         form = SymmetricPoly(args.n, args.d, _parse_coeff_spec(spec))
-    result = discriminant_decomposition(form, jobs=args.jobs)
+    result = discriminant_decomposition(form)
     integral = all(c.is_constant() for c in form.coeffs.values())
     value = result.value() if integral else None
     if args.format == "json":
@@ -280,11 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", _cmd_decompose, "partitionwise factorization")
     p.add_argument("file", help="system file")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("verify", _cmd_verify, "decomposition vs direct resultant")
     p.add_argument("file", help="system file")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("discriminant", _cmd_discriminant,
             "factored discriminant of a symmetric form")
@@ -293,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs",
                    help="file or inline list like c3=1,c21=-1; "
                         "omit for the fully symbolic form")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("selfcheck", help="built-in identity suite")
     p.set_defaults(func=_cmd_selfcheck)

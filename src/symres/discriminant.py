@@ -167,8 +167,7 @@ class DiscriminantResult:
         return q
 
 
-def discriminant_decomposition(F: SymmetricPoly,
-                               jobs: int = 1) -> DiscriminantResult:
+def discriminant_decomposition(F: SymmetricPoly) -> DiscriminantResult:
     """Factor d^{a(n,d)} Disc(F) over partitions of n.
 
     The partials have degree d - 1, so for d > n every partition of n
@@ -188,7 +187,7 @@ def discriminant_decomposition(F: SymmetricPoly,
         prefactor = F.coefficient((d,)) ** m_zero_discriminant(n, d)
         sign = (n - 1) % 2 if d == 2 else 0
     return DiscriminantResult(a_exponent(n, d), sign,
-                              factor_chains(table, lams, prefactor, jobs), d)
+                              factor_chains(table, lams, prefactor), d)
 
 
 def discriminant_value(F: SymmetricPoly) -> int:

@@ -12,7 +12,6 @@ carried by a power of the constant top divided difference.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -137,23 +136,15 @@ class FactoredResultant:
 
 
 def factor_chains(table: DividedDifferenceTable, lams: Sequence[Partition],
-                  prefactor: Coefficient, jobs: int = 1) -> FactoredResultant:
+                  prefactor: Coefficient) -> FactoredResultant:
     """The chain resultants of the given partitions, labelled, each with
     its multiplicity m_lambda, behind the given prefactor."""
-    chains = [specialize_chain(table, lam) for lam in lams]
-    if jobs > 1 and len(chains) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(
-                lambda chain: resultant(chain.polys), chains))
-    else:
-        values = [resultant(chain.polys) for chain in chains]
-    factors = tuple((value, m_lambda(lam))
-                    for lam, value in zip(lams, values))
+    factors = tuple((resultant(specialize_chain(table, lam).polys),
+                     m_lambda(lam)) for lam in lams)
     return FactoredResultant(prefactor, factors, tuple(lams))
 
 
-def decompose_resultant(system: EquivariantSystem,
-                        jobs: int = 1) -> FactoredResultant:
+def decompose_resultant(system: EquivariantSystem) -> FactoredResultant:
     """Factor the resultant of an equivariant system partitionwise.
 
     For d >= n every partition of n contributes and the prefactor is 1;
@@ -170,7 +161,7 @@ def decompose_resultant(system: EquivariantSystem,
     else:
         lams = list(partitions(n, max_length=d))
         prefactor = table.top_constant() ** m_zero_resultant(n, d)
-    return factor_chains(table, lams, prefactor, jobs)
+    return factor_chains(table, lams, prefactor)
 
 
 @dataclass(frozen=True)
@@ -181,10 +172,9 @@ class VerificationReport:
     direct: Coefficient
 
 
-def verify_decomposition(system: EquivariantSystem,
-                         jobs: int = 1) -> VerificationReport:
+def verify_decomposition(system: EquivariantSystem) -> VerificationReport:
     """Expand the decomposition and compare with the direct resultant."""
-    factored = decompose_resultant(system, jobs=jobs)
+    factored = decompose_resultant(system)
     expanded = factored.expand()
     direct = macaulay_resultant(system.polys)
     return VerificationReport(expanded == direct, factored, expanded, direct)

@@ -12,6 +12,15 @@ Term orders are fixed globally: graded lexicographic on main-variable
 exponents, plain lexicographic on parameter exponents.  Exact division at
 either layer follows the leading-term division algorithm, which succeeds
 if and only if the divisor divides the dividend.
+
+``determinant`` picks one of three routes from the matrix alone: a
+parameter-free matrix is eliminated over plain ints (``_bareiss_int``);
+a symbolic one of at most ``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes to
+the division-free ``determinant_minors``; a larger one to the fraction-
+free ``determinant_bareiss``.  The cap is measured: on dense random
+Macaulay numerators over three parameters minor expansion beat Bareiss
+at 12 rows and lost at 14.  ``determinant_cofactor`` and
+``determinant_bareiss`` stay public as test oracles.
 """
 
 from __future__ import annotations
@@ -37,17 +46,6 @@ def grlex_key(exponents: Monomial) -> tuple:
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_quotient(a: Monomial, b: Monomial) -> Monomial:
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in q):
-        raise NotDivisibleError(f"monomial {b} does not divide {a}")
-    return q
 
 
 def _power(one, base, n: int):
@@ -616,6 +614,38 @@ def determinant_cofactor(m):
     return rec(rows)
 
 
+def determinant_minors(m):
+    """Exact determinant by memoized minor expansion, with no division.
+
+    Walks the columns left to right, keeping the nonzero minor of every
+    row subset (a bitmask) on the columns seen so far.  Column k extends
+    the minor on rows S by each row r outside S whose entry is nonzero;
+    by Laplace expansion along that column the sign is the parity of the
+    rows of S below r.  Only +, *, unary - and zero tests are used
+    (Gentleman and Johnson, ACM TOMS 2(3), 1976).
+    """
+    rows = _as_rows(m)
+    n = len(rows)
+    minors = {1 << r: row[0] for r, row in enumerate(rows)
+              if not _is_zero(row[0])}
+    for k in range(1, n):
+        column = [(r, 1 << r, row[k]) for r, row in enumerate(rows)
+                  if not _is_zero(row[k])]
+        nxt = {}
+        for mask, minor in minors.items():
+            for r, bit, entry in column:
+                if mask & bit:
+                    continue
+                term = minor * entry
+                if (mask >> r).bit_count() & 1:
+                    term = -term
+                key = mask | bit
+                acc = nxt.get(key)
+                nxt[key] = term if acc is None else acc + term
+        minors = {mask: v for mask, v in nxt.items() if not _is_zero(v)}
+    return minors[(1 << n) - 1] if minors else rows[0][0] * 0
+
+
 def determinant_bareiss(m):
     """Exact determinant by single-step fraction-free elimination.
 
@@ -750,19 +780,31 @@ def _lowered(rows: list):
     return ints, ring.constant
 
 
+# Largest symbolic matrix sent to minor expansion.  On dense random
+# Macaulay numerators over three parameters (medians, pure CPython) it
+# beat Bareiss at 12 rows, 2.5 s against 5.6 s for degrees (7, 5), and
+# lost at 14 rows, 16.4 s against 11.2 s for degrees (7, 7).
+MINOR_EXPANSION_MAX_DIM = 12
+
+
 def determinant(m):
     """Exact determinant, the one entry point for matrices of any ring.
 
-    A matrix with no parameter in any entry is eliminated over plain
-    ints and the value lifted back, so Coefficient entries give a
-    Coefficient and int entries an int.  Other matrices use cofactor
-    expansion for dim <= 4, else Bareiss.
+    The branch is chosen from the matrix alone:
+
+      1. A matrix with no parameter in any entry is eliminated over
+         plain ints by ``_bareiss_int`` and the value lifted back, so
+         Coefficient entries give a Coefficient and int entries an int.
+      2. Other matrices with at most ``MINOR_EXPANSION_MAX_DIM`` rows use
+         the division-free ``determinant_minors``.
+      3. Larger ones use ``determinant_bareiss``, whose exact divisions
+         cost less than the 2^dim row subsets of minor expansion there.
     """
     rows = _as_rows(m)
     lowered = _lowered(rows)
     if lowered is not None:
         ints, lift = lowered
         return lift(_bareiss_int(ints))
-    if len(rows) <= 4:
-        return determinant_cofactor(rows)
+    if len(rows) <= MINOR_EXPANSION_MAX_DIM:
+        return determinant_minors(rows)
     return determinant_bareiss(rows)

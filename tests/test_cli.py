@@ -68,11 +68,6 @@ class TestDecompose:
         assert "prefactor: a^2" in out
         assert "lambda (3): multiplicity 1: a + 3*b" in out
 
-    def test_jobs_flag_matches_serial(self, linear_file, capsys):
-        assert cli.main(["decompose", linear_file, "--jobs", "2",
-                         "--format", "json"]) == 0
-        assert capsys.readouterr().out == DECOMPOSE_JSON
-
     def test_rejects_non_equivariant_input(self, tmp_path, capsys):
         path = tmp_path / "bad.sys"
         path.write_text("n=2 d=2 params=a\na*x1^2\na*x1*x2\n")
@@ -94,8 +89,8 @@ class TestVerify:
     def test_mismatch_exits_one(self, linear_file, capsys, monkeypatch):
         real = cli.verify_decomposition
 
-        def lying(system, jobs=1):
-            report = real(system, jobs=jobs)
+        def lying(system):
+            report = real(system)
             return type(report)(False, report.factored, report.expanded,
                                 report.direct)
 

@@ -342,8 +342,3 @@ class TestStructuralInvariants:
             via_disc = discriminant_decomposition(F).normalized()
             via_res = decompose_resultant(partial_derivatives(F)).expand()
             assert via_disc == via_res, (n, d)
-
-    def test_jobs_path_matches(self):
-        F = SymmetricPoly.generic(4, 3)
-        assert discriminant_decomposition(F, jobs=2) == \
-            discriminant_decomposition(F)

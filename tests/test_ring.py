@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symres.ring as ring_module
+from symres.divdiff import divided_difference_determinant, vandermonde_product
 from symres.ring import (
     Coefficient,
     NotDivisibleError,
@@ -15,6 +18,7 @@ from symres.ring import (
     determinant,
     determinant_bareiss,
     determinant_cofactor,
+    determinant_minors,
     grlex_key,
 )
 
@@ -389,3 +393,146 @@ def test_powers_match_repeated_products():
             power = p ** e
             assert power == p_acc and power.degree == p_acc.degree
             c_acc, p_acc = c_acc * c, p_acc * p
+
+
+# --- division-free minor expansion -------------------------------------------
+
+ST = ParameterRing(("s", "t"))
+AF = ParameterRing(tuple("abcdef"))
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def symbolic_matrices(draw):
+    """Square matrices of size 1-9 over Z[s,t] or Z[a..f] with entries
+    c + c' p for one parameter p.  Sparse or dense; over Z[a..f] only
+    sparse above 6 rows, where Bareiss on a dense one takes seconds.
+    Some are made singular by a repeated or a zero row."""
+    ring = draw(st.sampled_from((ST, AF)))
+    n = draw(st.integers(1, 9))
+    zeros = 3 if ring is AF and n > 6 else draw(st.integers(0, 3))
+    entry = st.tuples(st.integers(0, 3), SMALL, SMALL,
+                      st.sampled_from(ring.params))
+    rows = []
+    for _ in range(n):
+        row = []
+        for z, c, c1, p in draw(st.lists(entry, min_size=n, max_size=n)):
+            row.append(ring.zero() if z < zeros
+                       else ring.constant(c) + ring.parameter(p) * c1)
+        rows.append(row)
+    kind = draw(st.sampled_from(("regular", "repeated", "zero")))
+    if n > 1 and kind != "regular":
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j]) if kind == "repeated" else [ring.zero()] * n
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(symbolic_matrices())
+def test_minor_expansion_matches_oracles(rows):
+    value = determinant_minors(rows)
+    assert isinstance(value, Coefficient)
+    if len(rows) <= 7:
+        assert determinant_cofactor(rows) == value
+    assert determinant_bareiss(rows) == value
+
+
+def test_minor_expansion_on_bordered_vandermonde():
+    """The bordered Vandermonde rows of ``divided_difference_determinant``
+    with Polynomial entries, and the same rows evaluated to ints."""
+    rng = random.Random(59)
+    for ring in (Z, T):
+        for k in (2, 3, 4):
+            polys = [random_polynomial(rng, ring, k, 3, n_terms=4)
+                     for _ in range(k)]
+            one = Polynomial.constant(ring, k, 1)
+            rows = []
+            for i in range(k):
+                xi = Polynomial.variable(ring, k, i)
+                rows.append([one] + [xi ** j for j in range(1, k - 1)]
+                            + [polys[i]])
+            value = determinant_minors(rows)
+            assert value == determinant_cofactor(rows)
+            assert value == determinant_bareiss(rows)
+            if ring is Z:
+                point = [rng.randint(-5, 5) for _ in range(k)]
+                ints = [[e.evaluate(point).constant_value() for e in row]
+                        for row in rows]
+                assert determinant_minors(ints) == determinant(ints)
+                assert value.evaluate(point) == Z.constant(determinant(ints))
+    # a system with the pairwise divisibility condition: x_i^3 + e1^3
+    xs = [Polynomial.variable(Z, 3, i) for i in range(3)]
+    e1 = xs[0] + xs[1] + xs[2]
+    polys = [x ** 3 + e1 ** 3 for x in xs]
+    rows = [[Polynomial.constant(Z, 3, 1), x, p] for x, p in zip(xs, polys)]
+    assert determinant_minors(rows).exact_div(
+        vandermonde_product(Z, 3, (0, 1, 2))) == \
+        divided_difference_determinant(polys, (0, 1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_minor_expansion_permutation_signs(n):
+    """One nonzero per column, at every row position (odd ones too):
+    the value is the sign of the permutation times the entries."""
+    t = T.parameter("t")
+    for perm in permutations(range(n)):
+        rows = [[0] * n for _ in range(n)]
+        for k, r in enumerate(perm):
+            rows[r][k] = k + 2
+        assert determinant_minors(rows) == det_permutation_expansion(rows)
+        symbolic = [[t * x for x in row] for row in rows]
+        assert determinant_minors(symbolic) == \
+            det_permutation_expansion(symbolic)
+
+
+def test_minor_expansion_drops_zero_minors(monkeypatch):
+    """Equal first columns make every two-row minor zero: they are
+    dropped, the level is empty and no later product is formed."""
+    n = 6
+    t = T.parameter("t")
+    first = [t + i for i in range(n)]
+    rows = [[first[i], first[i]] + [t * (i + j) + 1 for j in range(n - 2)]
+            for i in range(n)]
+    real = Coefficient.__mul__
+    products = []
+
+    def counting(self, other):
+        if isinstance(other, Coefficient):
+            products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Coefficient, "__mul__", counting)
+    value = determinant_minors(rows)
+    monkeypatch.undo()
+    assert value == T.zero() and isinstance(value, Coefficient)
+    assert len(products) == n * (n - 1)  # the second column only
+    assert determinant_minors([[0, 1], [0, 2]]) == 0
+
+
+def test_determinant_dispatch(monkeypatch):
+    """Ints (or constant Coefficients) go to the int loop, symbolic
+    matrices of up to 12 rows to minor expansion, larger ones to
+    Bareiss."""
+    seen = []
+    for name in ("determinant_minors", "determinant_bareiss", "_bareiss_int"):
+        def spy(rows, name=name, real=getattr(ring_module, name)):
+            seen.append((name, len(rows)))
+            return real(rows)
+        monkeypatch.setattr(ring_module, name, spy)
+
+    def diagonal(n, entry):
+        rows = [[entry(i) * 0 for _ in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = entry(i)
+        return rows
+
+    t = T.parameter("t")
+    for n, route in ((12, "determinant_minors"), (13, "determinant_bareiss")):
+        seen.clear()
+        value = determinant(diagonal(n, lambda i: t + i))
+        assert seen == [(route, n)]
+        assert value == prod((t + i for i in range(n)), start=T.one())
+    for entry in (lambda i: i + 2, lambda i: T.constant(i + 2)):
+        seen.clear()
+        determinant(diagonal(12, entry))
+        assert seen == [("_bareiss_int", 12)]
