@@ -28,14 +28,14 @@ from symres.discriminant import (
     discriminant_decomposition,
     partial_derivatives,
 )
-from symres.divdiff import EquivarianceError, EquivariantSystem
+from symres.divdiff import EquivariantSystem
 from symres.equivariant import (
     decompose_resultant,
     generic_equivariant_system,
     verify_decomposition,
 )
 from symres.parser import (
-    ParseError,
+    _factored_doc,
     emit_factored_json,
     format_int,
     parse_int,
@@ -174,11 +174,7 @@ def _cmd_discriminant(args) -> int:
             "d": form.d,
             "a": result.a,
             "sign": result.sign,
-            "prefactor": print_coefficient(result.factored.prefactor),
-            "factors": [
-                {"expr": print_coefficient(v), "multiplicity": m}
-                for v, m in result.factored.factors
-            ],
+            **_factored_doc(result.factored),
         }, indent=2)
         # json writes ints with str(), which refuses very long ones
         number = "null" if value is None else format_int(value)
@@ -301,13 +297,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, EquivarianceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError, EquivarianceError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,6 +49,10 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def _as_partition(lam) -> Partition:
+    return lam if isinstance(lam, Partition) else Partition(tuple(lam))
+
+
 def partitions(n: int, max_length: Optional[int] = None) -> List[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first.
 

@@ -16,19 +16,15 @@ is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from symres.combinatorics import (
-    Partition,
-    m_zero_discriminant,
-    partitions,
-)
-from symres.divdiff import DividedDifferenceTable, EquivariantSystem
+from symres.combinatorics import Partition, _as_partition, partitions
+from symres.divdiff import EquivariantSystem
 from symres.equivariant import (
     FactoredResultant,
+    decompose_resultant,
     elementary_symmetric,
-    factor_chains,
 )
 from symres.resultant import macaulay_resultant
 from symres.ring import Coefficient, ParameterRing, Polynomial
@@ -52,7 +48,7 @@ def expand_elementary(lam, n: int,
 
     Zero (of the right nominal degree) whenever some part exceeds n.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    lam = _as_partition(lam)
     if ring is None:
         ring = ParameterRing(())
     out = Polynomial.constant(ring, n, 1)
@@ -85,7 +81,7 @@ class SymmetricPoly:
             ring = next(v.ring for v in values if isinstance(v, Coefficient))
         coeffs = {}
         for key, value in self.coeffs.items():
-            lam = key if isinstance(key, Partition) else Partition(tuple(key))
+            lam = _as_partition(key)
             if lam.n != self.d:
                 raise ValueError(f"{lam} is not a partition of {self.d}")
             if lam[0] > self.n:
@@ -112,7 +108,7 @@ class SymmetricPoly:
         return next(iter(self.coeffs.values())).ring
 
     def coefficient(self, lam) -> Coefficient:
-        lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+        lam = _as_partition(lam)
         return self.coeffs.get(lam, self.ring.zero())
 
     def expand(self) -> Polynomial:
@@ -170,24 +166,21 @@ class DiscriminantResult:
 def discriminant_decomposition(F: SymmetricPoly) -> DiscriminantResult:
     """Factor d^{a(n,d)} Disc(F) over partitions of n.
 
-    The partials have degree d - 1, so for d > n every partition of n
-    contributes a specialized chain resultant, while for d <= n only
-    partitions shorter than d contribute and the rest is absorbed by
-    c_(d)^{m_0} with m_0 = m_zero_discriminant(n, d).
+    This is ``decompose_resultant`` of the partials, which have degree
+    d - 1: for d > n every partition of n contributes a specialized
+    chain resultant, while for d <= n only partitions shorter than d
+    contribute and the prefactor is the top constant (-1)^{d-1} c_(d)
+    of the partials to the power m_0 = m_zero_discriminant(n, d).  Its
+    sign (-1)^{(d-1) m_0} is minus exactly when ``sign`` is set (d = 2,
+    n even); the prefactor is then negated, so it reads c_(d)^{m_0}
+    and ``normalized`` carries the global sign.
     """
     n, d = F.n, F.d
-    system = partial_derivatives(F)
-    table = DividedDifferenceTable(system).freeze()
-    if d > n:
-        lams = list(partitions(n))
-        prefactor = F.ring.one()
-        sign = 0
-    else:
-        lams = list(partitions(n, max_length=d - 1))
-        prefactor = F.coefficient((d,)) ** m_zero_discriminant(n, d)
-        sign = (n - 1) % 2 if d == 2 else 0
-    return DiscriminantResult(a_exponent(n, d), sign,
-                              factor_chains(table, lams, prefactor), d)
+    factored = decompose_resultant(partial_derivatives(F))
+    sign = (n - 1) % 2 if d == 2 else 0
+    if sign:
+        factored = replace(factored, prefactor=-factored.prefactor)
+    return DiscriminantResult(a_exponent(n, d), sign, factored, d)
 
 
 def discriminant_value(F: SymmetricPoly) -> int:

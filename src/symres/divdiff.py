@@ -152,8 +152,11 @@ class DividedDifferenceTable:
 
     Entries are keyed by the sorted index subset; the permutation
     covariance of the values is deliberately not used to share cache
-    slots, so each requested subset is computed on its own.  After
-    ``freeze`` the table is fully populated and read-only.
+    slots, so each requested subset is computed on its own.  The
+    decomposition pipelines fill the table lazily, computing only the
+    subsets their chains and the top constant read.  ``freeze`` is for
+    callers that want every entry: afterwards the table is fully
+    populated and read-only.
     """
 
     def __init__(self, system: EquivariantSystem):

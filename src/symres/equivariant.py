@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from symres.combinatorics import (
     Partition,
+    _as_partition,
     falling_quotient,
     m_lambda,
     m_zero_resultant,
@@ -27,10 +28,6 @@ from symres.combinatorics import (
 from symres.divdiff import DividedDifferenceTable, EquivariantSystem
 from symres.resultant import macaulay_resultant, resultant
 from symres.ring import Coefficient, NotDivisibleError, ParameterRing, Polynomial
-
-
-def _as_partition(lam) -> Partition:
-    return lam if isinstance(lam, Partition) else Partition(tuple(lam))
 
 
 def elementary_symmetric(ring: ParameterRing, ambient: int,
@@ -58,17 +55,23 @@ def block_leads(lam: Partition) -> Tuple[int, ...]:
 
 
 def rho_lambda(p: Polynomial, lam) -> Polynomial:
-    """Collapse the variables blockwise: x-block j maps to y_j."""
+    """Collapse the variables blockwise: x-block j maps to y_j.
+
+    One pass over the terms: the exponent of y_j is the sum of the
+    exponents of block j, and terms landing on one monomial are added.
+    """
     lam = _as_partition(lam)
     if p.ambient != lam.n:
         raise ValueError(
             f"ambient {p.ambient} does not match partition of {lam.n}")
-    owner = []
-    for b, part in enumerate(lam):
-        owner.extend([b] * part)
-    images = {i: Polynomial.variable(p.ring, lam.length, owner[i])
-              for i in range(p.ambient)}
-    return p.substitute(images)
+    leads = block_leads(lam)
+    blocks = tuple(zip(leads, leads[1:] + (lam.n,)))
+    terms = {}
+    for exp, c in p.terms.items():
+        key = tuple(sum(exp[start:stop]) for start, stop in blocks)
+        prev = terms.get(key)
+        terms[key] = c if prev is None else prev + c
+    return Polynomial(p.ring, lam.length, p.degree, terms)
 
 
 @dataclass(frozen=True)
@@ -135,33 +138,26 @@ class FactoredResultant:
         return out
 
 
-def factor_chains(table: DividedDifferenceTable, lams: Sequence[Partition],
-                  prefactor: Coefficient) -> FactoredResultant:
-    """The chain resultants of the given partitions, labelled, each with
-    its multiplicity m_lambda, behind the given prefactor."""
-    factors = tuple((resultant(specialize_chain(table, lam).polys),
-                     m_lambda(lam)) for lam in lams)
-    return FactoredResultant(prefactor, factors, tuple(lams))
-
-
 def decompose_resultant(system: EquivariantSystem) -> FactoredResultant:
     """Factor the resultant of an equivariant system partitionwise.
 
-    For d >= n every partition of n contributes and the prefactor is 1;
-    for d < n only partitions of length at most d contribute and the
-    top divided-difference constant enters with exponent
-    m_zero_resultant(n, d).  Factors are listed in the enumeration
-    order of the partitions.
+    Every partition of n with at most d parts contributes its chain
+    resultant with multiplicity m_lambda, in the enumeration order of
+    the partitions.  For d < n the top divided-difference constant
+    enters with exponent m_zero_resultant(n, d); for d >= n the
+    prefactor is 1.  The table is filled lazily, so only the divided
+    differences the chains and the top constant read are computed.
     """
     n, d = system.n, system.d
-    table = DividedDifferenceTable(system).freeze()
-    if d >= n:
-        lams = list(partitions(n))
-        prefactor = system.ring.one()
-    else:
-        lams = list(partitions(n, max_length=d))
+    table = DividedDifferenceTable(system)
+    if d < n:
         prefactor = table.top_constant() ** m_zero_resultant(n, d)
-    return factor_chains(table, lams, prefactor)
+    else:
+        prefactor = system.ring.one()
+    lams = tuple(partitions(n, max_length=d))
+    factors = tuple((resultant(specialize_chain(table, lam).polys),
+                     m_lambda(lam)) for lam in lams)
+    return FactoredResultant(prefactor, factors, lams)
 
 
 @dataclass(frozen=True)

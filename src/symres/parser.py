@@ -401,17 +401,21 @@ def parse_system_file(text: str) -> SystemFile:
     return SystemFile(n=n, d=d, ring=ring, polys=tuple(polys))
 
 
-def emit_factored_json(factored) -> str:
-    """Serialize a factored resultant as a stable JSON document.
-
-    Accepts any object with ``prefactor`` (Coefficient) and ``factors``
-    (ordered list of (Coefficient, multiplicity) pairs).
-    """
-    doc = {
+def _factored_doc(factored) -> dict:
+    """The ``prefactor`` and ``factors`` fields of a factored result."""
+    return {
         "prefactor": print_coefficient(factored.prefactor),
         "factors": [
             {"expr": print_coefficient(coeff), "multiplicity": mult}
             for coeff, mult in factored.factors
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def emit_factored_json(factored) -> str:
+    """Serialize a factored resultant as a stable JSON document.
+
+    Accepts any object with ``prefactor`` (Coefficient) and ``factors``
+    (ordered list of (Coefficient, multiplicity) pairs).
+    """
+    return json.dumps(_factored_doc(factored), indent=2)

@@ -342,3 +342,33 @@ class TestStructuralInvariants:
             via_disc = discriminant_decomposition(F).normalized()
             via_res = decompose_resultant(partial_derivatives(F)).expand()
             assert via_disc == via_res, (n, d)
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3),
+                                     (3, 3), (4, 3), (2, 4), (3, 4), (4, 4)])
+    def test_factors_are_those_of_the_partials(self, n, d):
+        F = SymmetricPoly.generic(n, d)
+        got = discriminant_decomposition(F)
+        res = decompose_resultant(partial_derivatives(F))
+        assert got.factored.factors == res.factors
+        assert got.factored.partitions == res.partitions
+        want = -res.prefactor if got.sign else res.prefactor
+        assert got.factored.prefactor == want
+        if d <= n:
+            c_d = F.ring.parameter(coefficient_name(Partition((d,))))
+            assert got.factored.prefactor == c_d ** m_zero_discriminant(n, d)
+        else:
+            assert got.factored.prefactor.is_one()
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3),
+                                     (2, 3), (3, 4)])
+    def test_does_not_freeze(self, monkeypatch, n, d):
+        def refuse(table):
+            raise AssertionError("the pipeline froze the table")
+        monkeypatch.setattr(DividedDifferenceTable, "freeze", refuse)
+        rng = random.Random(f"lazy-disc:{n}{d}")
+        F = SymmetricPoly(n, d, {lam: rng.randint(-3, 3) or 1
+                                 for lam in basis_partitions(n, d)})
+        direct = macaulay_resultant(partial_derivatives(F).polys)
+        assert discriminant_decomposition(F).normalized() == direct, (n, d)

@@ -56,6 +56,29 @@ def displayed_length_two_factor(ring, m, n):
     return doubled.exact_div(ring.constant(2))
 
 
+def substituted_collapse(p, lam):
+    """The blockwise collapse as a substitution x_i -> y_{block of i}."""
+    owner = [b for b, part in enumerate(lam) for _ in range(part)]
+    images = {i: Polynomial.variable(p.ring, len(lam), owner[i])
+              for i in range(p.ambient)}
+    return p.substitute(images)
+
+
+def random_form(rng, ring, n, d, count=8):
+    """A seeded homogeneous form with up to ``count`` terms; over Z[t]
+    the coefficients are c + c't."""
+    terms = {}
+    for _ in range(count):
+        exp = [0] * n
+        for _ in range(d):
+            exp[rng.randrange(n)] += 1
+        c = ring.constant(rng.randint(-3, 3))
+        if ring.params:
+            c = c + ring.parameter("t") * rng.randint(-2, 2)
+        terms[tuple(exp)] = c
+    return Polynomial(ring, n, d, terms)
+
+
 class TestElementarySymmetric:
     def test_small_expansions(self):
         assert elementary_symmetric(Z, 3, 0) == Polynomial.constant(Z, 3, 1)
@@ -87,6 +110,33 @@ class TestRhoLambda:
         p = parse_poly("x1 + x2", 2, Z)
         with pytest.raises(ValueError, match="ambient"):
             rho_lambda(p, (2, 1))
+
+    @pytest.mark.parametrize("params", [(), ("t",)])
+    def test_matches_substituted_collapse(self, params):
+        ring = ParameterRing(params)
+        rng = random.Random(f"rho:{params}")
+        for n in range(1, 6):
+            for lam in partitions(n):
+                for d in range(4):
+                    p = random_form(rng, ring, n, d)
+                    got = rho_lambda(p, lam)
+                    assert got == substituted_collapse(p, lam), (p, lam)
+                    assert (got.ambient, got.degree) == (lam.length, d)
+
+    def test_cancelling_terms_vanish(self):
+        Zt = ParameterRing(("t",))
+        p = parse_poly("x1 - x2", 2, Z)
+        assert rho_lambda(p, (2,)).is_zero()
+        q = parse_poly("t*x1*x3 - t*x2*x3 + x3^2", 3, Zt)
+        assert rho_lambda(q, (2, 1)) == parse_poly("x2^2", 2, Zt)
+        assert rho_lambda(q, (2, 1)) == substituted_collapse(q, (2, 1))
+
+    def test_zero_polynomial(self):
+        zero = Polynomial.zero(Z, 4, 3)
+        got = rho_lambda(zero, (2, 2))
+        assert got.is_zero()
+        assert (got.ambient, got.degree) == (2, 3)
+        assert got == substituted_collapse(zero, (2, 2))
 
     def test_block_leads(self):
         assert block_leads(Partition((2, 2))) == (0, 2)
@@ -254,6 +304,39 @@ class TestDecomposeStructure:
                 assert degrees == {chain_coefficient_degree(d, lam.length)}
                 total += mult * degrees.pop()
             assert total == n * d ** (n - 1), (n, d)
+
+
+class TestLazyTable:
+    @pytest.fixture
+    def no_freeze(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("the pipeline froze the table")
+        monkeypatch.setattr(DividedDifferenceTable, "freeze", refuse)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (4, 3), (2, 3), (3, 3)])
+    def test_decompose_does_not_freeze(self, no_freeze, n, d):
+        system = random_integer_equivariant_system(
+            random.Random(f"lazy:{n}{d}"), n, d)
+        got = decompose_resultant(system)
+        assert got.expand() == macaulay_resultant(system.polys), (n, d)
+
+    def test_reads_only_chain_subsets(self, monkeypatch):
+        # (6,2) reads its chains' lead pairs and the two top subsets
+        # with their recurrence inputs, not all 35 of sizes 2 and 3
+        tables = []
+        init = DividedDifferenceTable.__init__
+
+        def spy(table, system):
+            init(table, system)
+            tables.append(table)
+        monkeypatch.setattr(DividedDifferenceTable, "__init__", spy)
+        system = random_integer_equivariant_system(random.Random(6), 6, 2)
+        decompose_resultant(system)
+        (table,) = tables
+        leads = {block_leads(lam) for lam in partitions(6, max_length=2)}
+        want = {lead for lead in leads if len(lead) > 1} \
+            | {(0, 1, 2), (0, 1), (0, 2), (0, 1, 3), (0, 3)}
+        assert set(table.cached_subsets()) == want
 
 
 class TestVerifyDecomposition:
