@@ -2,24 +2,25 @@
 
 A system F^{1}, ..., F^{n} (all homogeneous of degree d in n variables)
 is equivariant when sigma(F^{i}) = F^{sigma(i)} for every permutation
-sigma; checking the adjacent transpositions suffices.  Such systems
-admit higher divided differences F^I, one for each nonempty subset I of
-variable indices, with deg F^I = d - |I| + 1 and F^I = 0 once |I|
-exceeds d + 1.  The canonical computation path peels off the two
-largest indices of I:
+sigma.  Such systems admit higher divided differences F^I, one for each
+nonempty subset I of variable indices, with deg F^I = d - |I| + 1 and
+F^I = 0 once |I| exceeds d + 1.  They are covariant,
+F^{sigma(I)} = sigma(F^I), so one divided difference per order, on the
+canonical subset (1..k), determines all the others.  It comes from the
+recurrence that peels off the two largest indices,
 
     F^I = (F^{I minus p} - F^{I minus q}) / (x_q - x_p)
 
-with p = max(I) and q = second largest.  The bordered Vandermonde
-determinant route is kept as an independent cross-check; it only needs
-the pairwise condition F^{i} - F^{j} in (x_i - x_j), not full
+with p = k and q = k - 1; both inputs have order k - 1, the first is
+canonical and the second its image under a permutation.  The bordered
+Vandermonde determinant route is kept as an independent cross-check; it
+only needs the pairwise condition F^{i} - F^{j} in (x_i - x_j), not full
 equivariance, which is why it works on plain polynomial lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from symres.ring import (
@@ -55,15 +56,31 @@ class EquivarianceReport:
                 f"{self.index + 1} to polynomial {target + 1}")
 
 
+def _swap(n: int, i: int, j: int) -> List[int]:
+    """The permutation of 0..n-1 that exchanges i and j."""
+    sigma = list(range(n))
+    sigma[i], sigma[j] = j, i
+    return sigma
+
+
 def check_equivariance(polys: Sequence[Polynomial]) -> EquivarianceReport:
-    """Verify sigma(F^i) = F^{sigma(i)} on all adjacent transpositions."""
+    """Verify sigma(F^i) = F^{sigma(i)} for every permutation sigma.
+
+    With s_k the swap of k and k + 1, it checks s_k(F^k) = F^{k+1} for
+    k = 0..n-2, then s_k(F^0) = F^0 for k = 1..n-2: 2n - 3 permutations
+    in all.  That suffices.  F^i is the image of F^0 under
+    pi_i = s_{i-1}...s_0, which takes 0 to i, and the swaps s_1..s_{n-2}
+    generate the stabilizer of 0, which fixes F^0.  For any sigma,
+    pi_{sigma(i)}^{-1} sigma pi_i fixes 0, so
+    sigma(F^i) = sigma pi_i(F^0) = pi_{sigma(i)}(F^0) = F^{sigma(i)}.
+    """
     n = len(polys)
     for k in range(n - 1):
-        sigma = list(range(n))
-        sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
-        for i in range(n):
-            if polys[i].permute(sigma) != polys[sigma[i]]:
-                return EquivarianceReport(False, (k, k + 1), i)
+        if polys[k].permute(_swap(n, k, k + 1)) != polys[k + 1]:
+            return EquivarianceReport(False, (k, k + 1), k)
+    for k in range(1, n - 1):
+        if polys[0].permute(_swap(n, k, k + 1)) != polys[0]:
+            return EquivarianceReport(False, (k, k + 1), 0)
     return EquivarianceReport(True)
 
 
@@ -148,21 +165,19 @@ def divided_difference_determinant(polys: Sequence[Polynomial],
 
 
 class DividedDifferenceTable:
-    """Cache of divided differences of one equivariant system.
+    """Divided differences of one equivariant system, one per order.
 
-    Entries are keyed by the sorted index subset; the permutation
-    covariance of the values is deliberately not used to share cache
-    slots, so each requested subset is computed on its own.  The
-    decomposition pipelines fill the table lazily, computing only the
-    subsets their chains and the top constant read.  ``freeze`` is for
-    callers that want every entry: afterwards the table is fully
-    populated and read-only.
+    The cache holds only the canonical subsets (0..k-1), each computed by
+    one recurrence step; every other subset I of size k is read off by
+    covariance as the canonical value under the permutation I + rest,
+    rest the complement of I in increasing order.  The table is filled
+    lazily, so the decomposition pipeline computes only the orders it
+    reads.
     """
 
     def __init__(self, system: EquivariantSystem):
         self.system = system
         self._cache: Dict[Tuple[int, ...], Polynomial] = {}
-        self._frozen = False
 
     def cached_subsets(self) -> List[Tuple[int, ...]]:
         return sorted(self._cache)
@@ -171,20 +186,21 @@ class DividedDifferenceTable:
         """The divided difference F^I for a subset I of 0-based indices."""
         sys = self.system
         I = _clean_indices(indices, sys.n)
-        if len(I) == 1:
+        k = len(I)
+        if k == 1:
             return sys.polys[I[0]]
-        if len(I) > sys.d + 1:
-            return Polynomial.zero(sys.ring, sys.n,
-                                   sys.d - len(I) + 1)
-        got = self._cache.get(I)
-        if got is not None:
-            return got
-        if self._frozen:
-            raise RuntimeError("frozen table is missing a computed entry")
-        p, q = I[-1], I[-2]
-        value = self._recurrence_step(I, p, q)
-        self._cache[I] = value
-        return value
+        if k > sys.d + 1:
+            return Polynomial.zero(sys.ring, sys.n, sys.d - k + 1)
+        head = tuple(range(k))
+        value = self._cache.get(head)
+        if value is None:
+            value = self._recurrence_step(head, k - 1, k - 2)
+            self._cache[head] = value
+        if I == head:
+            return value
+        chosen = set(I)
+        rest = tuple(i for i in range(sys.n) if i not in chosen)
+        return value.permute(I + rest)
 
     def _recurrence_step(self, I: Tuple[int, ...], p: int,
                          q: int) -> Polynomial:
@@ -196,34 +212,23 @@ class DividedDifferenceTable:
         return (left - right).exact_div(xq - xp)
 
     def freeze(self) -> "DividedDifferenceTable":
-        """Populate every nonzero order and make the table read-only."""
+        """Compute the canonical entry of each order 2..min(d + 1, n)."""
         sys = self.system
         for size in range(2, min(sys.d + 1, sys.n) + 1):
-            for I in combinations(range(sys.n), size):
-                self.divided_difference(I)
-        self._frozen = True
+            self.divided_difference(range(size))
         return self
 
     def top_constant(self) -> Coefficient:
         """The common value of all order-(d+1) divided differences.
 
-        Only defined when n >= d + 1.  When more than one subset of
-        size d + 1 exists the first two are compared as a consistency
-        guard before the value is returned.
+        Only defined when n >= d + 1.  Covariance makes every subset of
+        size d + 1 carry the same constant, so the canonical one is read.
         """
         sys = self.system
-        size = sys.d + 1
-        if sys.n < size:
+        if sys.n < sys.d + 1:
             raise ValueError(
                 f"need n >= d + 1 for a constant (n={sys.n}, d={sys.d})")
-        subsets = combinations(range(sys.n), size)
-        first = self.divided_difference(next(subsets))
-        second_subset = next(subsets, None)
-        if second_subset is not None:
-            if self.divided_difference(second_subset) != first:
-                raise ArithmeticError(
-                    "top divided differences disagree across subsets")
-        return first.as_coefficient()
+        return self.divided_difference(range(sys.d + 1)).as_coefficient()
 
 
 def divided_difference_recursive(table: DividedDifferenceTable,

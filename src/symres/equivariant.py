@@ -25,7 +25,7 @@ from symres.combinatorics import (
     m_zero_resultant,
     partitions,
 )
-from symres.divdiff import DividedDifferenceTable, EquivariantSystem
+from symres.divdiff import DividedDifferenceTable, EquivariantSystem, _swap
 from symres.resultant import macaulay_resultant, resultant
 from symres.ring import Coefficient, NotDivisibleError, ParameterRing, Polynomial
 
@@ -253,25 +253,41 @@ _PARAM_LETTERS = "abcdfghijklmpqrstuvw"
 
 
 def _generic_layout(n: int, d: int):
-    """(power of x_i, partition or None, parameter position) triples.
+    """(power of x_i, partition or None) pairs, one per parameter slot.
 
     The symmetric cofactor of x_i^k runs over the e-basis partitions of
     d - k with parts at most n, innermost-first so that d = 2 reads
     a x^2 + b x e1 + c e1^2 + d e2.
     """
     layout = []
-    pos = 0
     for k in range(d, -1, -1):
         j = d - k
         if j == 0:
-            layout.append((k, None, pos))
-            pos += 1
+            layout.append((k, None))
             continue
         mus = [mu for mu in partitions(j) if mu[0] <= n]
-        for mu in reversed(mus):
-            layout.append((k, mu, pos))
-            pos += 1
+        layout.extend((k, mu) for mu in reversed(mus))
     return layout
+
+
+def _system_from_first(ring: ParameterRing, n: int, d: int,
+                       values) -> EquivariantSystem:
+    """The equivariant system whose F^{1} is sum v * x_1^k * e_mu.
+
+    ``values`` holds one coefficient v per slot (k, mu) of
+    ``_generic_layout``; zero slots are skipped.  F^{i} is the image of
+    F^{1} under the swap of x_1 and x_i.
+    """
+    first = Polynomial.zero(ring, n, d)
+    for (k, mu), v in zip(_generic_layout(n, d), values):
+        if v == 0:
+            continue
+        part = Polynomial.monomial(ring, n, (k,) + (0,) * (n - 1), v)
+        for p in (mu or ()):
+            part = part * elementary_symmetric(ring, n, p)
+        first = first + part
+    return EquivariantSystem(first.permute(_swap(n, 0, i))
+                             for i in range(n))
 
 
 def generic_equivariant_system(n: int, d: int) -> EquivariantSystem:
@@ -280,24 +296,14 @@ def generic_equivariant_system(n: int, d: int) -> EquivariantSystem:
     F^{i} = sum over k of x_i^k * S_{d-k} with each symmetric cofactor
     S_j written in the e-basis with fresh parameters.
     """
-    layout = _generic_layout(n, d)
-    if len(layout) > len(_PARAM_LETTERS):
-        names = tuple(f"c{pos}" for _, _, pos in layout)
+    count = len(_generic_layout(n, d))
+    if count > len(_PARAM_LETTERS):
+        names = tuple(f"c{pos}" for pos in range(count))
     else:
-        names = tuple(_PARAM_LETTERS[pos] for _, _, pos in layout)
+        names = tuple(_PARAM_LETTERS[:count])
     ring = ParameterRing(names)
-    polys = []
-    for i in range(n):
-        total = Polynomial.zero(ring, n, d)
-        for k, mu, pos in layout:
-            part = Polynomial.monomial(
-                ring, n, tuple(k if v == i else 0 for v in range(n)),
-                ring.parameter(names[pos]))
-            for p in (mu or ()):
-                part = part * elementary_symmetric(ring, n, p)
-            total = total + part
-        polys.append(total)
-    return EquivariantSystem(polys)
+    return _system_from_first(ring, n, d,
+                              [ring.parameter(name) for name in names])
 
 
 def random_integer_equivariant_system(rng, n: int, d: int,
@@ -307,21 +313,7 @@ def random_integer_equivariant_system(rng, n: int, d: int,
     The leading coefficient (on x_i^d) is kept nonzero so the systems
     stay generically nondegenerate.
     """
-    ring = ParameterRing()
-    layout = _generic_layout(n, d)
-    values = [rng.randint(-bound, bound) for _ in layout]
+    values = [rng.randint(-bound, bound) for _ in _generic_layout(n, d)]
     while values[0] == 0:
         values[0] = rng.randint(-bound, bound)
-    polys = []
-    for i in range(n):
-        total = Polynomial.zero(ring, n, d)
-        for (k, mu, pos), v in zip(layout, values):
-            if v == 0:
-                continue
-            part = Polynomial.monomial(
-                ring, n, tuple(k if w == i else 0 for w in range(n)), v)
-            for p in (mu or ()):
-                part = part * elementary_symmetric(ring, n, p)
-            total = total + part
-        polys.append(total)
-    return EquivariantSystem(polys)
+    return _system_from_first(ParameterRing(), n, d, values)

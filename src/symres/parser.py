@@ -1,8 +1,8 @@
 """Text and JSON front end for polynomials and factored results.
 
 The polynomial grammar is deliberately small: integer literals,
-declared parameter names, main variables x1..xn (or y1..yk for
-specialized systems), the operators + - * ^ and parentheses.  There is
+declared parameter names, main variables x1..xn, the operators
++ - * ^ and parentheses.  There is
 no implicit multiplication and no unary plus; ^ takes a bare
 nonnegative integer exponent.  ``print_poly`` emits canonical text that
 the grammar accepts, so parse(print(p)) == p.
@@ -21,6 +21,7 @@ from symres.ring import Coefficient, Monomial, ParameterRing, Polynomial, grlex_
 # so every piece converts whatever the interpreter-wide limit is.
 _DIGITS_PER_PIECE = 600
 _SIGNED_DIGITS_RE = re.compile(r"[+-]?\d+\Z")
+_VAR_RE = re.compile(r"x([0-9]+)\Z")
 
 
 def format_int(k: int) -> str:
@@ -145,15 +146,12 @@ class _RawPoly:
 
 
 class _Parser:
-    def __init__(self, text: str, ambient: int, ring: ParameterRing,
-                 var_prefix: str):
+    def __init__(self, text: str, ambient: int, ring: ParameterRing):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ambient = ambient
         self.ring = ring
-        self.var_prefix = var_prefix
-        self.var_re = re.compile(re.escape(var_prefix) + r"([0-9]+)\Z")
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -225,7 +223,7 @@ class _Parser:
         if tok.kind == "int":
             return _RawPoly({(zero_m, zero_p): parse_int(tok.text)})
         if tok.kind == "ident":
-            m = self.var_re.match(tok.text)
+            m = _VAR_RE.match(tok.text)
             if m:
                 idx = int(m.group(1))
                 if not 1 <= idx <= self.ambient:
@@ -249,14 +247,13 @@ class _Parser:
 
 
 def parse_poly(text: str, ambient: int, ring: ParameterRing,
-               degree: Optional[int] = None,
-               var_prefix: str = "x") -> Polynomial:
+               degree: Optional[int] = None) -> Polynomial:
     """Parse polynomial text into a canonical homogeneous Polynomial.
 
     ``degree`` fixes the expected degree (required to make sense of a
     zero polynomial); when omitted it is inferred from the terms.
     """
-    raw = _Parser(text, ambient, ring, var_prefix).parse()
+    raw = _Parser(text, ambient, ring).parse()
     by_monomial: Dict[Monomial, Dict[Monomial, int]] = {}
     for (mexp, pexp), v in raw.terms.items():
         by_monomial.setdefault(mexp, {})[pexp] = v
@@ -277,7 +274,7 @@ def parse_poly(text: str, ambient: int, ring: ParameterRing,
 
 def parse_coefficient(text: str, ring: ParameterRing) -> Coefficient:
     """Parse parameter-only text (no main variables) into a Coefficient."""
-    return parse_poly(text, 1, ring, degree=0, var_prefix="x").as_coefficient()
+    return parse_poly(text, 1, ring, degree=0).as_coefficient()
 
 
 # --- printing ----------------------------------------------------------------
@@ -323,13 +320,13 @@ def print_coefficient(c: Coefficient) -> str:
     return _join_signed(parts)
 
 
-def print_poly(p, var_prefix: str = "x") -> str:
+def print_poly(p) -> str:
     """Canonical text form; also accepts a bare Coefficient."""
     if isinstance(p, Coefficient):
         return print_coefficient(p)
     if p.is_zero():
         return "0"
-    names = [f"{var_prefix}{i + 1}" for i in range(p.ambient)]
+    names = [f"x{i + 1}" for i in range(p.ambient)]
     parts: List[Tuple[int, str]] = []
     for exp in sorted(p.terms, key=grlex_key, reverse=True):
         coeff = p.terms[exp]

@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import random
 from math import prod
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from symres.ring import (
     Coefficient,

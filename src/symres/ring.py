@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
 
@@ -551,23 +551,6 @@ class Polynomial:
         return f"Polynomial<n={self.ambient}, d={self.degree}, {items or '0'}>"
 
 
-class SquareMatrix:
-    """Dense square matrix over one of the two ring element types."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, entries: Iterable[Iterable[object]]):
-        rows = [list(row) for row in entries]
-        if not rows or any(len(row) != len(rows) for row in rows):
-            raise ValueError("entries must form a nonempty square array")
-        self.dim = len(rows)
-        self.entries = rows
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-
 def _is_zero(x) -> bool:
     return x == 0 if isinstance(x, int) else x.is_zero()
 
@@ -582,8 +565,6 @@ def _exact_quotient(a, b):
 
 
 def _as_rows(m) -> list:
-    if isinstance(m, SquareMatrix):
-        return [list(row) for row in m.entries]
     rows = [list(row) for row in m]
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("entries must form a nonempty square array")

@@ -1,5 +1,6 @@
 """Divided-difference tables, covariance, and the determinant route."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -13,6 +14,7 @@ from symres.divdiff import (
     divided_difference_recursive,
     vandermonde_product,
 )
+from symres.equivariant import random_integer_equivariant_system
 from symres.parser import parse_poly
 from symres.ring import NotDivisibleError, ParameterRing, Polynomial
 
@@ -67,6 +69,44 @@ def all_tables():
     return [DividedDifferenceTable(EquivariantSystem(p)) for p in systems]
 
 
+def all_swaps_equivariant(polys):
+    """Every polynomial under every adjacent transposition: n(n-1) checks."""
+    n = len(polys)
+    for k in range(n - 1):
+        sigma = list(range(n))
+        sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
+        for i in range(n):
+            if polys[i].permute(sigma) != polys[sigma[i]]:
+                return False
+    return True
+
+
+def swap(n, i, j):
+    sigma = list(range(n))
+    sigma[i], sigma[j] = j, i
+    return sigma
+
+
+def corruptions(rng, polys):
+    """One changed coefficient, two polynomials exchanged, and the chain
+    F^{k+1} = s_k(F^k) from an F^{1} that the swaps fixing 1 move."""
+    n = len(polys)
+    i = rng.randrange(n)
+    terms = dict(polys[i].terms)
+    exp = rng.choice(sorted(terms))
+    terms[exp] = terms[exp] + rng.choice((-1, 1))
+    changed = list(polys)
+    changed[i] = Polynomial(polys[i].ring, n, polys[i].degree, terms)
+    i, j = rng.sample(range(n), 2)
+    exchanged = list(polys)
+    exchanged[i], exchanged[j] = polys[j], polys[i]
+    d = polys[0].degree
+    chain = [polys[0] + Polynomial.variable(polys[0].ring, n, n - 1) ** d]
+    for k in range(n - 1):
+        chain.append(chain[-1].permute(swap(n, k, k + 1)))
+    return [changed, exchanged, chain]
+
+
 class TestCheckEquivariance:
     def test_accepts_symmetric_families(self):
         for polys in (linear_system(4), quadratic_system(3),
@@ -83,6 +123,40 @@ class TestCheckEquivariance:
         assert report.index == 1
         assert report.describe() == ("swapping x2 and x3 does not map "
                                      "polynomial 2 to polynomial 3")
+
+    def test_same_verdict_as_all_swaps(self):
+        verdicts = set()
+        for n in range(2, 7):
+            for d in (1, 2, 3):
+                for seed in range(4):
+                    rng = random.Random(f"swaps:{n}:{d}:{seed}")
+                    polys = random_integer_equivariant_system(rng, n, d).polys
+                    assert check_equivariance(polys).ok
+                    for bad in corruptions(rng, polys):
+                        want = all_swaps_equivariant(bad)
+                        assert check_equivariance(bad).ok == want, (n, d)
+                        verdicts.add((n > 2, want))
+        # some corruptions stay equivariant at n = 2, where the stabilizer
+        # of 1 is trivial; at n > 2 each one breaks equivariance
+        assert verdicts == {(False, True), (False, False), (True, False)}
+
+    def test_rejects_orbit_of_non_invariant_first(self):
+        x1x2 = parse_poly("x1*x2", 3, ABCD)
+        orbit = [x1x2.permute(swap(3, 0, i)) for i in range(3)]
+        assert not all_swaps_equivariant(orbit)
+        assert not check_equivariance(orbit).ok
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_makes_2n_minus_3_permutations(self, monkeypatch, n):
+        calls = []
+        permute = Polynomial.permute
+
+        def counting(p, sigma):
+            calls.append(sigma)
+            return permute(p, sigma)
+        monkeypatch.setattr(Polynomial, "permute", counting)
+        assert check_equivariance(power_system(n, 2)).ok
+        assert len(calls) == 2 * n - 3
 
     def test_linear_form_example_is_not_equivariant(self):
         assert not check_equivariance(linform_system()).ok
@@ -228,6 +302,17 @@ class TestTopConstant:
         table = DividedDifferenceTable(EquivariantSystem(linear_system(4)))
         assert table.top_constant() == ABCD.parameter("a")
 
+    @pytest.mark.parametrize("n,d,subset", [(4, 2, (1, 2, 3)),
+                                            (5, 3, (0, 2, 3, 4))])
+    def test_matches_determinant_on_non_canonical_subset(self, n, d, subset):
+        symbolic = quadratic_system(n) if d == 2 else cubic_system(n)
+        integer = random_integer_equivariant_system(
+            random.Random(f"top:{n}:{d}"), n, d).polys
+        for polys in (symbolic, integer):
+            table = DividedDifferenceTable(EquivariantSystem(polys))
+            want = divided_difference_determinant(polys, subset)
+            assert table.top_constant() == want.as_coefficient()
+
     def test_needs_enough_variables(self):
         table = DividedDifferenceTable(EquivariantSystem(cubic_system(3)))
         with pytest.raises(ValueError, match="n >= d"):
@@ -251,12 +336,15 @@ class TestDeterminantRoute:
 
 
 class TestTableCache:
-    def test_entries_are_per_subset(self):
-        table = DividedDifferenceTable(EquivariantSystem(quadratic_system(3)))
-        table.divided_difference((0, 1))
-        assert table.cached_subsets() == [(0, 1)]
+    def test_entries_are_per_order(self):
+        # any subset of an order is read off the one canonical entry
+        table = DividedDifferenceTable(EquivariantSystem(quadratic_system(4)))
         table.divided_difference((1, 2))
-        assert table.cached_subsets() == [(0, 1), (1, 2)]
+        assert table.cached_subsets() == [(0, 1)]
+        table.divided_difference((0, 3))
+        assert table.cached_subsets() == [(0, 1)]
+        table.divided_difference((1, 2, 3))
+        assert table.cached_subsets() == [(0, 1), (0, 1, 2)]
 
     def test_freeze_fills_and_preserves_values(self):
         table = DividedDifferenceTable(EquivariantSystem(quadratic_system(4)))
@@ -264,7 +352,7 @@ class TestTableCache:
                      for size in (2, 3) for I in combinations(range(4), size)}
         frozen = table.freeze()
         assert frozen is table
-        assert table.cached_subsets() == sorted(reference)
+        assert table.cached_subsets() == [(0, 1), (0, 1, 2)]
         for I, want in reference.items():
             assert table.divided_difference(I) == want
         beyond = table.divided_difference((0, 1, 2, 3))

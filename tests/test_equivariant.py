@@ -11,6 +11,7 @@ from symres.divdiff import DividedDifferenceTable, EquivariantSystem, \
     divided_difference_determinant
 from symres.equivariant import (
     AveragingReport,
+    _generic_layout,
     FactoredResultant,
     SpecializedSystem,
     averaged_chain_resultant,
@@ -321,8 +322,8 @@ class TestLazyTable:
         assert got.expand() == macaulay_resultant(system.polys), (n, d)
 
     def test_reads_only_chain_subsets(self, monkeypatch):
-        # (6,2) reads its chains' lead pairs and the two top subsets
-        # with their recurrence inputs, not all 35 of sizes 2 and 3
+        # (6,2) computes one divided difference per order it reads, not
+        # all 35 subsets of sizes 2 and 3
         tables = []
         init = DividedDifferenceTable.__init__
 
@@ -333,10 +334,31 @@ class TestLazyTable:
         system = random_integer_equivariant_system(random.Random(6), 6, 2)
         decompose_resultant(system)
         (table,) = tables
-        leads = {block_leads(lam) for lam in partitions(6, max_length=2)}
-        want = {lead for lead in leads if len(lead) > 1} \
-            | {(0, 1, 2), (0, 1), (0, 2), (0, 1, 3), (0, 3)}
-        assert set(table.cached_subsets()) == want
+        assert table.cached_subsets() == [(0, 1), (0, 1, 2)]
+
+
+    def test_integer_12_3_computes_one_entry_per_order(self, monkeypatch):
+        # min(d + 1, n) - 1 = 3 recurrence steps, one per order
+        tables, steps = [], []
+        init = DividedDifferenceTable.__init__
+        step = DividedDifferenceTable._recurrence_step
+
+        def spy(table, system):
+            init(table, system)
+            tables.append(table)
+
+        def counting(table, I, p, q):
+            steps.append(I)
+            return step(table, I, p, q)
+        monkeypatch.setattr(DividedDifferenceTable, "__init__", spy)
+        monkeypatch.setattr(DividedDifferenceTable, "_recurrence_step",
+                            counting)
+        system = random_integer_equivariant_system(random.Random(5), 12, 3)
+        decompose_resultant(system)
+        (table,) = tables
+        want = [(0, 1), (0, 1, 2), (0, 1, 2, 3)]
+        assert table.cached_subsets() == want
+        assert sorted(steps) == want
 
 
 class TestVerifyDecomposition:
@@ -418,6 +440,48 @@ class TestGenericSystems:
             want = parse_poly(
                 f"a*x{i}^2 + b*x{i}*{e1} + c*{e1}^2 + d*{e2}", 3, ring)
             assert system.polys[i - 1] == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_generic_written_out_per_index(self, n):
+        e = {k: "(" + " + ".join("*".join(f"x{i + 1}" for i in c)
+                                  for c in combinations(range(n), k)) + ")"
+             for k in (1, 2, 3)}
+        quadratic = generic_equivariant_system(n, 2)
+        cubic = generic_equivariant_system(n, 3)
+        for i in range(1, n + 1):
+            x = f"x{i}"
+            want = parse_poly(f"a*{x}^2 + b*{x}*{e[1]} + c*{e[1]}^2"
+                              f" + d*{e[2]}", n, quadratic.ring)
+            assert quadratic.polys[i - 1] == want, (n, i)
+            text = (f"a*{x}^3 + b*{x}^2*{e[1]} + c*{x}*{e[1]}^2"
+                    f" + d*{x}*{e[2]} + f*{e[1]}^3 + g*{e[2]}*{e[1]}")
+            if n >= 3:
+                text += f" + h*{e[3]}"
+            want = parse_poly(text, n, cubic.ring)
+            assert cubic.polys[i - 1] == want, (n, i)
+
+    def test_random_equals_per_index_construction(self):
+        # each F^{i} built on its own from the same draws, slot by slot
+        for n in range(2, 7):
+            for d in range(1, 5):
+                for seed in range(3):
+                    got = random_integer_equivariant_system(
+                        random.Random(seed), n, d)
+                    rng = random.Random(seed)
+                    layout = _generic_layout(n, d)
+                    values = [rng.randint(-3, 3) for _ in layout]
+                    while values[0] == 0:
+                        values[0] = rng.randint(-3, 3)
+                    for i in range(n):
+                        want = Polynomial.zero(Z, n, d)
+                        for (k, mu), v in zip(layout, values):
+                            part = Polynomial.monomial(
+                                Z, n, tuple(k if w == i else 0
+                                            for w in range(n)), v)
+                            for p in (mu or ()):
+                                part = part * elementary_symmetric(Z, n, p)
+                            want = want + part
+                        assert got.polys[i] == want, (n, d, seed, i)
 
     def test_cubic_binary_parameter_order(self):
         system = generic_equivariant_system(2, 3)

@@ -119,13 +119,6 @@ def test_print_coefficient_forms():
     assert print_coefficient ((a * a) * 2 - b + 1) == "2*a^2 - b + 1"
 
 
-def test_print_uses_var_prefix():
-    ring = ParameterRing()
-    p = Polynomial(ring, 2, 1, {(1, 0): 1, (0, 1): 1})
-    assert print_poly(p, var_prefix="y") == "y1 + y2"
-    assert parse_poly("y1 + y2", 2, ring, degree=1, var_prefix="y") == p
-
-
 def test_round_trip_random_polynomials():
     rng = random.Random(101)
     rings = [ParameterRing(), AB, ABCD]
