@@ -13,20 +13,28 @@ exponents, plain lexicographic on parameter exponents.  Exact division at
 either layer follows the leading-term division algorithm, which succeeds
 if and only if the divisor divides the dividend.
 
-``determinant`` picks one of three routes from the matrix alone: a
+``determinant`` picks one of four routes from the matrix alone: a
 parameter-free matrix is eliminated over plain ints (``_bareiss_int``);
-a symbolic one of at most ``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes to
-the division-free ``determinant_minors``; a larger one to the fraction-
-free ``determinant_bareiss``.  The cap is measured: on dense random
-Macaulay numerators over three parameters minor expansion beat Bareiss
-at 12 rows and lost at 14.  ``determinant_cofactor`` and
+a symbolic one whose Kronecker packing fits in ``PACKED_MAX_BITS`` bits
+is packed into plain ints, eliminated once by ``_bareiss_int`` and read
+back (``_determinant_packed``); any other symbolic one of at most
+``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes to the division-free
+``determinant_minors``, and a larger one to the fraction-free
+``determinant_bareiss``.  Both caps are measured.  Packing makes every
+entry an integer as long as the determinant's degree box times its
+coefficient width, so it wins for few parameters and low degrees and
+loses badly past the cap.  On dense random Macaulay numerators over
+three parameters minor expansion beat Bareiss at 12 rows and lost at
+14.  ``determinant_cofactor``, ``determinant_minors`` and
 ``determinant_bareiss`` stay public as test oracles.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
@@ -138,10 +146,6 @@ class Coefficient:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self!r}")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        """Maximal total degree in the parameters (0 for the zero element)."""
-        return max((sum(e) for e in self.terms), default=0)
 
     def leading_term(self) -> Tuple[Monomial, int]:
         exp = max(self.terms)
@@ -767,6 +771,81 @@ def _lowered(rows: list):
 # lost at 14 rows, 16.4 s against 11.2 s for degrees (7, 7).
 MINOR_EXPANSION_MAX_DIM = 12
 
+# Longest Kronecker packing, in bits, sent to one int elimination.  Timed
+# against minor expansion and Bareiss on every symbolic determinant of the
+# tests and of the benchmark workloads (pure CPython).  Up to 25.5k bits
+# packing was faster on all but a 12-row diagonal (2 ms slower): a
+# two-parameter 15-row Macaulay numerator went from 1.2-1.4 s to 0.04 s,
+# a 56-row perturbation over Z[eps] from 30 s to 1.0 s.  From 61k bits up
+# it lost on all: five-row chains over 5-7 parameters went from
+# 0.003-0.015 s to 0.05-0.18 s, a three-parameter 15-row numerator of
+# 175k bits from 0.26 s to 3.8 s.
+PACKED_MAX_BITS = 1 << 15
+
+
+def _determinant_packed(rows: list):
+    """The determinant by Kronecker substitution, or None when the
+    entries are not Coefficients of one ring or the packing is longer
+    than ``PACKED_MAX_BITS``.
+
+    D_i, the sum over rows of each row's largest exponent of t_i (or
+    the same sum over columns, whichever is smaller), bounds the degree
+    of the determinant in t_i.  B, the product over rows of the summed
+    absolute coefficients of each row (or over columns, whichever is
+    smaller), bounds its l1-norm, so every coefficient is a signed digit
+    of K = B.bit_length() + 1 bits.  With t_i = 2^(K s_i), s_1 = 1 and
+    s_(i+1) = s_i (D_i + 1), each exponent in the degree box owns its
+    own digit, and the int determinant read back in signed K-bit digits
+    is the polynomial one (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, 8.4).  A value outside the box raises ArithmeticError.
+    """
+    first = rows[0][0]
+    if not isinstance(first, Coefficient):
+        return None
+    ring = first.ring
+    if any(not isinstance(x, Coefficient) or x.ring is not ring
+           and x.ring != ring for row in rows for x in row):
+        return None
+    norms = [[sum(map(abs, x.terms.values())) for x in row] for row in rows]
+    bound = min(math.prod(map(sum, norms)),
+                math.prod(map(sum, zip(*norms))))
+    if not bound:
+        return ring.zero()
+    # each entry's largest exponent of every parameter
+    flat = (0,) * len(ring.params)
+    tops = [[tuple(map(max, zip(flat, *x.terms))) for x in row]
+            for row in rows]
+
+    def degree_sums(lines):
+        return [sum(col) for col in zip(*(map(max, zip(*line))
+                                          for line in lines))]
+
+    sizes = [min(a, b) + 1
+             for a, b in zip(degree_sums(tops), degree_sums(zip(*tops)))]
+    k = bound.bit_length() + 1
+    length = math.prod(sizes)
+    if k * length > PACKED_MAX_BITS:
+        return None
+    shifts = [k]
+    for size in sizes[:-1]:
+        shifts.append(shifts[-1] * size)
+    packed = _bareiss_int(
+        [[sum(c << sum(e * s for e, s in zip(exp, shifts))
+              for exp, c in x.terms.items()) for x in row] for row in rows])
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    # adding half to every digit makes them all nonnegative
+    rest = packed + half * (((1 << k * length) - 1) // mask)
+    if rest < 0 or rest >> k * length:
+        raise ArithmeticError("packed determinant outside its degree box")
+    terms = {}
+    for exp in product(*map(range, reversed(sizes))):
+        digit = (rest & mask) - half
+        rest >>= k
+        if digit:
+            terms[exp[::-1]] = digit
+    return Coefficient(ring, terms)
+
 
 def determinant(m):
     """Exact determinant, the one entry point for matrices of any ring.
@@ -776,9 +855,14 @@ def determinant(m):
       1. A matrix with no parameter in any entry is eliminated over
          plain ints by ``_bareiss_int`` and the value lifted back, so
          Coefficient entries give a Coefficient and int entries an int.
-      2. Other matrices with at most ``MINOR_EXPANSION_MAX_DIM`` rows use
+      2. A Coefficient matrix whose Kronecker packing (degree box times
+         coefficient width) has at most ``PACKED_MAX_BITS`` bits is
+         packed into plain ints, eliminated once by ``_bareiss_int``
+         and unpacked by ``_determinant_packed``.  Past that cap the
+         big-int products cost more than the symbolic routes.
+      3. Other matrices with at most ``MINOR_EXPANSION_MAX_DIM`` rows use
          the division-free ``determinant_minors``.
-      3. Larger ones use ``determinant_bareiss``, whose exact divisions
+      4. Larger ones use ``determinant_bareiss``, whose exact divisions
          cost less than the 2^dim row subsets of minor expansion there.
     """
     rows = _as_rows(m)
@@ -786,6 +870,9 @@ def determinant(m):
     if lowered is not None:
         ints, lift = lowered
         return lift(_bareiss_int(ints))
+    packed = _determinant_packed(rows)
+    if packed is not None:
+        return packed
     if len(rows) <= MINOR_EXPANSION_MAX_DIM:
         return determinant_minors(rows)
     return determinant_bareiss(rows)

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never
+uses, and no module- or class-level definition goes unreferenced."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ import symres
 
 PACKAGE = Path(symres.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(p for top in ("src", "tests", "bench")
+                 for p in (ROOT / top).rglob("*.py"))
 
 
 def imported_names(tree):
@@ -24,14 +28,12 @@ def imported_names(tree):
     return out
 
 
-def used_names(tree):
-    """Every name read in the module, string annotations included."""
+def annotation_names(tree):
+    """Every name read in the module's string annotations."""
     out = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.arg):
+        if isinstance(node, ast.arg):
             annotations.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             annotations.append(node.returns)
@@ -42,6 +44,12 @@ def used_names(tree):
             out |= {n.id for n in ast.walk(ast.parse(ann.value))
                     if isinstance(n, ast.Name)}
     return out
+
+
+def used_names(tree):
+    """Every name read in the module, string annotations included."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)} | annotation_names(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -59,3 +67,87 @@ def test_detects_an_unused_import():
                      "import os.path\n"
                      "def f(x: 'List[int]'):\n    return os.sep\n")
     assert set(imported_names(tree)) - used_names(tree) == {"Dict"}
+
+
+def definitions(tree):
+    """Names defined at module level or directly in a module-level
+    class, mapped to their line; dunders and ``__all__`` are exempt."""
+    out = {}
+
+    def bind(name, line):
+        if not (name.startswith("__") and name.endswith("__")):
+            out[name] = line
+
+    def scan(body, classes):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bind(node.name, node.lineno)
+            elif isinstance(node, ast.ClassDef):
+                bind(node.name, node.lineno)
+                if classes:
+                    scan(node.body, False)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name):
+                            bind(leaf.id, node.lineno)
+
+    scan(tree.body, True)
+    return out
+
+
+def references(tree):
+    """Names a file reads: loaded names, attributes, imported names and
+    identifier-shaped strings (for getattr and monkeypatch targets)
+    outside ``__all__``."""
+    out = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported |= {id(leaf) for leaf in ast.walk(node.value)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier() and id(node) not in exported:
+            out.add(node.value)
+    return out | annotation_names(tree)
+
+
+def test_no_unreferenced_definitions():
+    referenced = set()
+    for path in SOURCES:
+        referenced |= references(ast.parse(path.read_text(), str(path)))
+    unused = sorted(f"{path.name}: {name} (line {line})"
+                    for path in MODULES + [PACKAGE / "__init__.py"]
+                    for name, line in definitions(
+                        ast.parse(path.read_text(), str(path))).items()
+                    if name not in referenced)
+    assert not unused, f"definitions nothing references: {unused}"
+
+
+def test_detects_an_unreferenced_definition():
+    tree = ast.parse("__all__ = ['spare']\n"
+                     "LIMIT = 3\n"
+                     "SPARE_LIMIT = 4\n"
+                     "def spare(): pass\n"
+                     "def helper(): pass\n"
+                     "def used(): return 'helper'\n"
+                     "class Box:\n"
+                     "    size: int = LIMIT\n"
+                     "    def __len__(self): return self.size\n"
+                     "    def unused(self): pass\n"
+                     "Box().hook = used\n")
+    assert set(definitions(tree)) == {"LIMIT", "SPARE_LIMIT", "spare",
+                                      "helper", "used", "Box", "size",
+                                      "unused"}
+    assert set(definitions(tree)) - references(tree) == {
+        "SPARE_LIMIT", "spare", "unused"}

@@ -13,6 +13,11 @@ import pytest
 
 import symres.resultant as resultant_module
 from conftest import random_int_polynomial
+from symres.equivariant import (
+    decompose_resultant,
+    random_integer_equivariant_system,
+    verify_decomposition,
+)
 from symres.parser import parse_poly
 from symres.resultant import (
     index_function,
@@ -261,6 +266,81 @@ class TestPerturbationFallback:
         g = Polynomial.monomial(ring, 2, (1, 0), 1) \
             + Polynomial.monomial(ring, 2, (0, 1), eps)
         assert _perturbed_resultant([f, g]) == macaulay_resultant([f, g])
+
+
+class TestForcedFallbackChain:
+    """``_try_quotient`` made to fail its first m attempts forces each
+    step of the chain in turn: m = 0 keeps the given coordinates,
+    m = k the k-th unimodular retry, and m = MAX_UNIMODULAR_RETRIES + 1
+    the perturbation.  Each case is nondegenerate in every coordinate
+    system tried, so the attempt count is exactly the forced one."""
+
+    STEPS = range(resultant_module.MAX_UNIMODULAR_RETRIES + 2)
+
+    @staticmethod
+    def force(monkeypatch, m):
+        attempts, perturbed = [], []
+        real_try = resultant_module._try_quotient
+        real_perturbed = resultant_module._perturbed_resultant
+
+        def failing(polys):
+            attempts.append(len(polys))
+            return None if len(attempts) <= m else real_try(polys)
+
+        def spy(polys):
+            perturbed.append(len(polys))
+            return real_perturbed(polys)
+
+        monkeypatch.setattr(resultant_module, "_try_quotient", failing)
+        monkeypatch.setattr(resultant_module, "_perturbed_resultant", spy)
+        return attempts, perturbed
+
+    def check_step(self, monkeypatch, m, polys, want):
+        attempts, perturbed = self.force(monkeypatch, m)
+        assert macaulay_resultant(polys) == want
+        retries = resultant_module.MAX_UNIMODULAR_RETRIES
+        assert len(attempts) == min(m, retries + 1) + (m <= retries)
+        assert perturbed == ([len(polys)] if m > retries else [])
+
+    @pytest.mark.parametrize("m", STEPS)
+    def test_binary_forms_against_sylvester(self, monkeypatch, m):
+        rng = random.Random(70)
+        ring = ParameterRing(("a",))
+        a = ring.parameter("a")
+        cases = []
+        for degrees in ((2, 3), (3, 1)):
+            f, g = (random_int_polynomial(rng, 2, d, bound=4)
+                    for d in degrees)
+            cases.append([f, g])
+        cases.append([Polynomial(ring, 2, 2, {(2, 0): a, (1, 1): 1,
+                                              (0, 2): a - 2}),
+                      Polynomial(ring, 2, 2, {(2, 0): 3, (0, 2): -a})])
+        for f, g in cases:
+            want = sylvester_resultant(f, g)
+            self.check_step(monkeypatch, m, [f, g], want)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("m", STEPS)
+    def test_equivariant_system_against_decomposition(self, monkeypatch, m):
+        for seed in (0, 6):
+            system = random_integer_equivariant_system(
+                random.Random(seed), 3, 2)
+            want = decompose_resultant(system).expand()
+            self.check_step(monkeypatch, m, system.polys, want)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", [16, 45])
+def test_integer_42_draws_exhausting_the_retries(monkeypatch, seed):
+    """Two integer (4,2) draws whose dod minor vanishes in the given
+    coordinates and after every retry: the 56-row perturbation over
+    Z[eps] decides the direct value."""
+    _, perturbed = TestForcedFallbackChain.force(monkeypatch, 0)
+    report = verify_decomposition(
+        random_integer_equivariant_system(random.Random(seed), 4, 2))
+    assert report.equal
+    assert report.direct == Z.constant(-7)
+    assert 4 in perturbed
 
 
 class TestResultantProperties:

@@ -395,6 +395,7 @@ def test_powers_match_repeated_products():
 # --- division-free minor expansion -------------------------------------------
 
 ST = ParameterRing(("s", "t"))
+AB = ParameterRing(("a", "b"))
 AF = ParameterRing(tuple("abcdef"))
 SMALL = st.integers(-3, 3)
 
@@ -508,10 +509,12 @@ def test_minor_expansion_drops_zero_minors(monkeypatch):
 
 def test_determinant_dispatch(monkeypatch):
     """Ints (or constant Coefficients) go to the int loop, symbolic
-    matrices of up to 12 rows to minor expansion, larger ones to
-    Bareiss."""
+    matrices whose packing fits the cap to one packed int elimination,
+    larger symbolic ones of up to 12 rows to minor expansion and the
+    rest to Bareiss."""
     seen = []
-    for name in ("determinant_minors", "determinant_bareiss", "_bareiss_int"):
+    for name in ("determinant_minors", "determinant_bareiss", "_bareiss_int",
+                 "_determinant_packed"):
         def spy(rows, name=name, real=getattr(ring_module, name)):
             seen.append((name, len(rows)))
             return real(rows)
@@ -523,13 +526,116 @@ def test_determinant_dispatch(monkeypatch):
             rows[i][i] = entry(i)
         return rows
 
+    s, t = ST.parameter("s"), ST.parameter("t")
+    for n in (12, 13):
+        seen.clear()
+        value = determinant(diagonal(n, lambda i: s * (i + 1) - t * i))
+        assert seen == [("_determinant_packed", n), ("_bareiss_int", n)]
+        assert value == prod((s * (i + 1) - t * i for i in range(n)),
+                             start=ST.one())
+    # degree 3000 per row puts the packing past PACKED_MAX_BITS
     t = T.parameter("t")
     for n, route in ((12, "determinant_minors"), (13, "determinant_bareiss")):
         seen.clear()
-        value = determinant(diagonal(n, lambda i: t + i))
-        assert seen == [(route, n)]
-        assert value == prod((t + i for i in range(n)), start=T.one())
+        value = determinant(diagonal(n, lambda i: t ** 3000 + i))
+        assert seen == [("_determinant_packed", n), (route, n)]
+        assert value == prod((t ** 3000 + i for i in range(n)),
+                             start=T.one())
     for entry in (lambda i: i + 2, lambda i: T.constant(i + 2)):
         seen.clear()
         determinant(diagonal(12, entry))
         assert seen == [("_bareiss_int", 12)]
+
+
+# --- Kronecker packing --------------------------------------------------------
+
+def packed(rows):
+    """``_determinant_packed``, which must take the matrix."""
+    value = ring_module._determinant_packed(rows)
+    assert isinstance(value, Coefficient)
+    return value
+
+
+def assert_packed_matches_oracles(rows):
+    value = packed(rows)
+    assert value == determinant_minors(rows)
+    assert value == determinant_bareiss(rows)
+    if len(rows) <= 6:
+        assert value == determinant_cofactor(rows)
+    return value
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_packed_matches_oracles_on_seeded_matrices(width):
+    """Random entries with negative coefficients, some empty, made
+    singular by a multiple of another row or by a zero row."""
+    ring = ParameterRing(("a", "b", "c")[:width])
+    rng = random.Random(61 + width)
+    for trial in range(24):
+        n = rng.randint(1, 5)
+        rows = [[random_coefficient(rng, ring, max_degree=2,
+                                    n_terms=rng.randint(0, 3))
+                 for _ in range(n)] for _ in range(n)]
+        kind = trial % 3
+        if n > 1 and kind:
+            i, j = rng.sample(range(n), 2)
+            scale = random_coefficient(rng, ring, max_degree=1, n_terms=2)
+            rows[i] = ([x * scale for x in rows[j]] if kind == 1
+                       else [ring.zero()] * n)
+        value = assert_packed_matches_oracles(rows)
+        if n > 1 and kind:
+            assert value.is_zero()
+
+
+def test_packed_zero_row_and_zero_matrix():
+    t = T.parameter("t")
+    rows = [[t, t + 1, T.constant(2)], [T.zero()] * 3, [t * t, -t, T.one()]]
+    assert assert_packed_matches_oracles(rows) == T.zero()
+    assert packed([[T.zero()]]) == T.zero()
+
+
+def test_packed_where_row_and_column_bounds_differ():
+    """One heavy row of high degree: the row sums bound degree and size
+    tighter than the column sums (6 against 12 in a), and the transpose
+    the other way round; the determinant reaches the tighter bound."""
+    a, b = AB.parameter("a"), AB.parameter("b")
+    heavy = [a ** 4 * 5 - b, a ** 4 * -7 + b ** 2, a ** 4 * 3]
+    rows = [heavy, [AB.one(), a, b], [b, AB.constant(-2), a + 1]]
+    transpose = [list(col) for col in zip(*rows)]
+    for m in (rows, transpose):
+        value = assert_packed_matches_oracles(m)
+        assert max(e[0] for e in value.terms) == 6
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 64])
+def test_packed_reaches_the_coefficient_bound(m):
+    """One-term entries of +-2^m: the determinant is a single term whose
+    coefficient is exactly the bound B, and its degree exactly the
+    degree bound."""
+    a, b = AB.parameter("a"), AB.parameter("b")
+    for sign in (1, -1):
+        assert packed([[a * (sign << m)]]) == a * (sign << m)
+        assert packed([[AB.constant(sign << m)]]) == AB.constant(sign << m)
+        entries = [a ** 2 * (sign << m), b * (-sign << m), a * b * (sign << m)]
+        rows = [[AB.zero()] * 3 for _ in range(3)]
+        for i, x in enumerate(entries):
+            rows[i][i] = x
+        assert assert_packed_matches_oracles(rows) == \
+            a ** 3 * b ** 2 * (-sign << 3 * m)
+
+
+def test_packed_declines_past_the_cap_and_mixed_entries():
+    t = T.parameter("t")
+    assert ring_module._determinant_packed([[t ** 40000]]) is None
+    big = T.constant(1 << ring_module.PACKED_MAX_BITS)
+    assert ring_module._determinant_packed([[t, big], [big, t]]) is None
+    assert ring_module._determinant_packed([[t, 1], [2, t]]) is None
+    assert ring_module._determinant_packed([[1, 2], [3, 4]]) is None
+
+
+def test_packed_value_outside_the_degree_box_raises(monkeypatch):
+    t = T.parameter("t")
+    monkeypatch.setattr(ring_module, "_bareiss_int",
+                        lambda rows: 1 << ring_module.PACKED_MAX_BITS)
+    with pytest.raises(ArithmeticError):
+        ring_module._determinant_packed([[t + 1, t], [t, t - 1]])
