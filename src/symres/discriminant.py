@@ -156,11 +156,18 @@ class DiscriminantResult:
     def value(self) -> int:
         """Disc(F) for integer coefficients: ``normalized`` divided by
         d^a, a remainder raising ArithmeticError."""
-        q, r = divmod(self.normalized().constant_value(), self.d ** self.a)
-        if r:
-            raise ArithmeticError(
-                f"factored resultant is not divisible by {self.d}^{self.a}")
-        return q
+        return _strip_scale("factored resultant", self.normalized(),
+                            self.d, self.a)
+
+
+def _strip_scale(what: str, value: Coefficient, d: int, a: int) -> int:
+    """The integer ``value`` divided by d^a.  The division is exact by
+    the definition of the discriminant, so a remainder can only mean a
+    bug upstream; it raises ArithmeticError."""
+    q, r = divmod(value.constant_value(), d ** a)
+    if r:
+        raise ArithmeticError(f"{what} is not divisible by {d}^{a}")
+    return q
 
 
 def discriminant_decomposition(F: SymmetricPoly) -> DiscriminantResult:
@@ -188,17 +195,11 @@ def discriminant_value(F: SymmetricPoly) -> int:
 
     Computes the Macaulay resultant of the partials without any
     decomposition and strips the factor d^{a(n,d)}; it is the oracle
-    for ``DiscriminantResult.value``, the factored route.  That division is
-    exact by the definition of the discriminant, so a nonzero
-    remainder can only mean a bug upstream.
+    for ``DiscriminantResult.value``, the factored route, and shares its
+    checked division.
     """
     if any(not c.is_constant() for c in F.coeffs.values()):
         raise ValueError("integer coefficients required")
     res = macaulay_resultant(partial_derivatives(F).polys)
-    scale = F.d ** a_exponent(F.n, F.d)
-    q, r = divmod(res.constant_value(), scale)
-    if r:
-        raise ArithmeticError(
-            f"resultant of the partials is not divisible by {F.d}^"
-            f"{a_exponent(F.n, F.d)}")
-    return q
+    return _strip_scale("resultant of the partials", res, F.d,
+                        a_exponent(F.n, F.d))

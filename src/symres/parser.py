@@ -6,6 +6,11 @@ declared parameter names, main variables x1..xn, the operators
 no implicit multiplication and no unary plus; ^ takes a bare
 nonnegative integer exponent.  ``print_poly`` emits canonical text that
 the grammar accepts, so parse(print(p)) == p.
+
+Expressions are evaluated in Z[x1..xn, params] as ``Coefficient``s of
+one joint ring, so the parser has no arithmetic of its own and ^ is
+the ring's square-and-multiply power (0^0 = 1).  Only the value is
+split back into a ``Polynomial`` and checked for homogeneity.
 """
 
 from __future__ import annotations
@@ -94,64 +99,29 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-class _RawPoly:
-    """Parse-time polynomial over (main exponents, parameter exponents).
+def _atoms(ambient: int, ring: ParameterRing) -> Tuple[Coefficient, ...]:
+    """1, x1..xn and the parameters, in one joint ring Z[x1..xn, params].
 
-    Intermediate expressions need not be homogeneous; the final result
-    is split into a Polynomial and checked at the end.
+    A term of the joint ring is one flat exponent tuple, main exponents
+    first.  Its main variables are named x_1..x_n, with more
+    underscores while a declared parameter takes one of those names.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Tuple[Monomial, Monomial], int]):
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _RawPoly(out)
-
-    def __neg__(self):
-        return _RawPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: Dict[Tuple[Monomial, Monomial], int] = {}
-        for (ma, pa), va in self.terms.items():
-            for (mb, pb), vb in other.terms.items():
-                key = (tuple(x + y for x, y in zip(ma, mb)),
-                       tuple(x + y for x, y in zip(pa, pb)))
-                s = out.get(key, 0) + va * vb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _RawPoly(out)
-
-    def __pow__(self, n: int):
-        width_m, width_p = 0, 0
-        for (m, p) in self.terms:
-            width_m, width_p = len(m), len(p)
-        out = _RawPoly({((0,) * width_m, (0,) * width_p): 1})
-        for _ in range(n):
-            out = out * self
-        return out
+    prefix = "x_"
+    while any(f"{prefix}{i}" in ring.params for i in range(1, ambient + 1)):
+        prefix += "_"
+    joint = ParameterRing(tuple(f"{prefix}{i}" for i in range(1, ambient + 1))
+                          + ring.params)
+    return (joint.one(),) + tuple(map(joint.parameter, joint.params))
 
 
 class _Parser:
-    def __init__(self, text: str, ambient: int, ring: ParameterRing):
-        self.text = text
+    def __init__(self, text: str, ambient: int, ring: ParameterRing,
+                 atoms: Tuple[Coefficient, ...]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ambient = ambient
         self.ring = ring
+        self.atoms = atoms
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -169,14 +139,14 @@ class _Parser:
                              tok.offset)
         return self.advance()
 
-    def parse(self) -> _RawPoly:
+    def parse(self) -> Coefficient:
         value = self.expression()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.offset)
         return value
 
-    def expression(self) -> _RawPoly:
+    def expression(self) -> Coefficient:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "+":
             raise ParseError("unary plus is not allowed", tok.offset)
@@ -190,7 +160,7 @@ class _Parser:
             else:
                 return value
 
-    def term(self) -> _RawPoly:
+    def term(self) -> Coefficient:
         value = self.unary()
         while True:
             tok = self.peek()
@@ -200,14 +170,14 @@ class _Parser:
             else:
                 return value
 
-    def unary(self) -> _RawPoly:
+    def unary(self) -> Coefficient:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
             return -self.unary()
         return self.power()
 
-    def power(self) -> _RawPoly:
+    def power(self) -> Coefficient:
         base = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
@@ -216,12 +186,10 @@ class _Parser:
             return base ** int(exp_tok.text)
         return base
 
-    def atom(self) -> _RawPoly:
+    def atom(self) -> Coefficient:
         tok = self.advance()
-        zero_m = (0,) * self.ambient
-        zero_p = (0,) * len(self.ring.params)
         if tok.kind == "int":
-            return _RawPoly({(zero_m, zero_p): parse_int(tok.text)})
+            return self.atoms[0] * parse_int(tok.text)
         if tok.kind == "ident":
             m = _VAR_RE.match(tok.text)
             if m:
@@ -230,14 +198,9 @@ class _Parser:
                     raise ParseError(
                         f"variable {tok.text!r} outside ambient 1..{self.ambient}",
                         tok.offset)
-                exp = tuple(1 if j == idx - 1 else 0
-                            for j in range(self.ambient))
-                return _RawPoly({(exp, zero_p): 1})
+                return self.atoms[idx]
             if tok.text in self.ring.params:
-                i = self.ring.index(tok.text)
-                exp = tuple(1 if j == i else 0
-                            for j in range(len(self.ring.params)))
-                return _RawPoly({(zero_m, exp): 1})
+                return self.atoms[1 + self.ambient + self.ring.index(tok.text)]
             raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
         if tok.kind == "op" and tok.text == "(":
             value = self.expression()
@@ -253,10 +216,16 @@ def parse_poly(text: str, ambient: int, ring: ParameterRing,
     ``degree`` fixes the expected degree (required to make sense of a
     zero polynomial); when omitted it is inferred from the terms.
     """
-    raw = _Parser(text, ambient, ring).parse()
+    return _parse_poly(text, ambient, ring, degree, _atoms(ambient, ring))
+
+
+def _parse_poly(text: str, ambient: int, ring: ParameterRing,
+                degree: Optional[int],
+                atoms: Tuple[Coefficient, ...]) -> Polynomial:
+    value = _Parser(text, ambient, ring, atoms).parse()
     by_monomial: Dict[Monomial, Dict[Monomial, int]] = {}
-    for (mexp, pexp), v in raw.terms.items():
-        by_monomial.setdefault(mexp, {})[pexp] = v
+    for exp, v in value.terms.items():
+        by_monomial.setdefault(exp[:ambient], {})[exp[ambient:]] = v
     degrees = {sum(mexp) for mexp in by_monomial}
     if len(degrees) > 1:
         raise ParseError(
@@ -389,10 +358,11 @@ def parse_system_file(text: str) -> SystemFile:
     if len(body) != n:
         raise ParseError(
             f"expected {n} polynomial lines, found {len(body)}", 0)
+    atoms = _atoms(n, ring)
     polys = []
     for no, line in body:
         try:
-            polys.append(parse_poly(line, n, ring, degree=d))
+            polys.append(_parse_poly(line, n, ring, d, atoms))
         except ParseError as exc:
             raise ParseError(f"line {no}: {exc.message}", exc.offset) from None
     return SystemFile(n=n, d=d, ring=ring, polys=tuple(polys))

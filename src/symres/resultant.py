@@ -190,11 +190,8 @@ def _perturbed_resultant(polys: Sequence[Polynomial]) -> Coefficient:
         power = tuple(p.degree if j == i else 0 for j in range(n))
         lifted.append(Polynomial(ext, n, p.degree, terms)
                       + Polynomial.monomial(ext, n, power, eps))
-    rows, _, dod = macaulay_data(lifted)
-    num = determinant(rows)
-    if dod:
-        den = determinant([[rows[r][c] for c in dod] for r in dod])
-        num = num.exact_div(den)
+    num = _try_quotient(lifted)
+    assert num is not None, "a denominator monic in eps cannot vanish"
     at_zero = {m[:-1]: v for m, v in num.terms.items() if m[-1] == 0}
     return ring.coefficient(at_zero)
 

@@ -128,6 +128,13 @@ class Coefficient:
         self.ring = ring
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, ring: ParameterRing, terms: Dict[Monomial, int]):
+        """Wrap ``terms`` unchecked; arithmetic results are already clean."""
+        out = object.__new__(cls)
+        out.ring, out.terms = ring, terms
+        return out
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -173,12 +180,12 @@ class Coefficient:
                 out[exp] = v
             else:
                 out.pop(exp, None)
-        return Coefficient(self.ring, out)
+        return self._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(self.ring, {e: -c for e, c in self.terms.items()})
+        return self._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -193,8 +200,8 @@ class Coefficient:
         if isinstance(other, int):
             if other == 0:
                 return self.ring.zero()
-            return Coefficient(self.ring,
-                               {e: c * other for e, c in self.terms.items()})
+            return self._trusted(self.ring,
+                                 {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -207,7 +214,7 @@ class Coefficient:
                     out[key] = v
                 else:
                     del out[key]
-        return Coefficient(self.ring, out)
+        return self._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -246,7 +253,7 @@ class Coefficient:
                     rem[key] = v
                 else:
                     rem.pop(key, None)
-        return Coefficient(self.ring, quo)
+        return self._trusted(self.ring, quo)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

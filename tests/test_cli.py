@@ -68,6 +68,13 @@ class TestDecompose:
         assert "prefactor: a^2" in out
         assert "lambda (3): multiplicity 1: a + 3*b" in out
 
+    def test_zero_to_the_zero_is_one(self, tmp_path, capsys):
+        path = tmp_path / "zero_power.sys"
+        path.write_text(LINEAR_SYSTEM.replace("b*(", "0^0*b*(")
+                        .replace("a*x2", "(a - a)^0*a*x2"))
+        assert cli.main(["decompose", str(path), "--format", "json"]) == 0
+        assert capsys.readouterr().out == DECOMPOSE_JSON
+
     def test_rejects_non_equivariant_input(self, tmp_path, capsys):
         path = tmp_path / "bad.sys"
         path.write_text("n=2 d=2 params=a\na*x1^2\na*x1*x2\n")

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never
-uses, and no module- or class-level definition goes unreferenced."""
+uses, no module- or class-level definition goes unreferenced, and
+polynomial arithmetic lives in ``ring.py`` alone."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,38 @@ def test_detects_an_unreferenced_definition():
                                       "unused"}
     assert set(definitions(tree)) - references(tree) == {
         "SPARE_LIMIT", "spare", "unused"}
+
+
+ARITHMETIC_DUNDERS = {"__add__", "__mul__", "__pow__"}
+
+
+def arithmetic_classes(tree):
+    """Classes that define or assign an arithmetic dunder, mapped to
+    their line."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            names = ({item.name} if isinstance(item, ast.FunctionDef)
+                     else {t.id for t in getattr(item, "targets", ())
+                           if isinstance(t, ast.Name)})
+            if names & ARITHMETIC_DUNDERS:
+                out[node.name] = node.lineno
+    return out
+
+
+def test_one_arithmetic_kernel():
+    found = sorted(f"{path.name}: {name} (line {line})"
+                   for path in MODULES + [PACKAGE / "__init__.py"]
+                   if path.name != "ring.py"
+                   for name, line in arithmetic_classes(
+                       ast.parse(path.read_text(), str(path))).items())
+    assert not found, f"arithmetic outside ring.py: {found}"
+
+
+def test_detects_an_arithmetic_class():
+    tree = ast.parse("class Raw:\n    def __add__(self, o): pass\n"
+                     "class Alias:\n    __mul__ = len\n"
+                     "class Plain:\n    def __eq__(self, o): pass\n")
+    assert set(arithmetic_classes(tree)) == {"Raw", "Alias"}

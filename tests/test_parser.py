@@ -221,3 +221,77 @@ def test_emit_factored_json_shape():
         {"expr": "a + 4*b", "multiplicity": 1},
     ]
     assert list(doc["factors"][0]) == ["expr", "multiplicity"]
+
+
+# --- evaluation in the joint ring Z[x, params] -------------------------------
+
+def test_zero_to_the_zero_is_one():
+    x1, x2 = (Polynomial.variable(AB, 2, i) for i in range(2))
+    assert parse_poly("0^0*x1", 2, AB) == x1
+    assert parse_poly("x1 + 0^0*x2", 2, AB) == x1 + x2
+    assert parse_poly("(x1 - x1)^0*x2", 2, AB) == x2
+    assert parse_poly("0^3 + (a - a)^2*x1^4 + x2", 2, AB) == x2
+
+
+def test_high_powers_by_squaring():
+    p = parse_poly("x1^200000", 1, AB)
+    assert p == Polynomial.monomial(AB, 1, (200000,))
+    q = parse_poly("(2*a*x1)^300", 1, AB)
+    assert q == Polynomial.monomial(AB, 1, (300,),
+                                    AB.parameter("a") ** 300 * 2 ** 300)
+
+
+@pytest.mark.parametrize("params", ["x_1,b", "b,x_2,x_1", "x_1,x__2,x__1"])
+def test_parameters_named_like_the_joint_variables(params):
+    # x_1, x_2 are the names the parser tries first for x1, x2
+    sf = parse_system_file(f"n=2 d=2 params={params}\n"
+                           "x_1*x1^2 + x1*x2\nx_1^2*x2^2 - x1^2\n")
+    t = sf.ring.parameter("x_1")
+    assert sf.polys == (
+        Polynomial(sf.ring, 2, 2, {(2, 0): t, (1, 1): 1}),
+        Polynomial(sf.ring, 2, 2, {(0, 2): t * t, (2, 0): -1}))
+
+
+def _random_form(rng, degree, names, depth=0):
+    """Text of a random form of the given degree in x1, x2, x3 over the
+    named parameters, with nested parentheses, powers and unary minus."""
+    if depth > 3 or rng.random() < 0.3:
+        if degree == 0:
+            return rng.choice([str(rng.randint(0, 9)), rng.choice(names)])
+        factors = [f"x{rng.randint(1, 3)}" for _ in range(degree)]
+        return "*".join(factors)
+    kind = rng.choice(("sum", "product", "power", "minus"))
+    if kind == "sum":
+        op = rng.choice((" + ", " - "))
+        return (_random_form(rng, degree, names, depth + 1) + op
+                + _random_form(rng, degree, names, depth + 1))
+    if kind == "product":
+        k = rng.randint(0, degree)
+        return (f"({_random_form(rng, k, names, depth + 1)})*"
+                f"({_random_form(rng, degree - k, names, depth + 1)})")
+    if kind == "power":
+        e = rng.choice([e for e in range(1, 4) if degree % e == 0]
+                       if degree else range(4))
+        base = _random_form(rng, degree // e if degree else 0, names,
+                            depth + 1)
+        return f"({base})^{e}"
+    return "-" + _random_form(rng, degree, names, depth + 1)
+
+
+def test_parse_agrees_with_sympy_expand():
+    sympy = pytest.importorskip("sympy")
+    names = ("a", "b", "t2")
+    ring = ParameterRing(names)
+    gens = [sympy.Symbol(s) for s in ("x1", "x2", "x3") + names]
+    local = {str(g): g for g in gens}
+    rng = random.Random(211)
+    big = str(rng.randrange(10 ** 700, 10 ** 701))
+    texts = [f"{big}*a*x1 - (b - {big})^2*x2"]
+    texts += [_random_form(rng, rng.randint(0, 3), names) for _ in range(80)]
+    for text in texts:
+        p = parse_poly(text, 3, ring)
+        want = sympy.Poly(sympy.expand(sympy.parse_expr(
+            text.replace("^", "**"), local_dict=local)), *gens).as_dict()
+        got = {mexp + pexp: v for mexp, c in p.terms.items()
+               for pexp, v in c.terms.items()}
+        assert got == {e: int(v) for e, v in want.items() if v}, text

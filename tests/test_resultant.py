@@ -217,7 +217,8 @@ class TestDegenerateDenominator:
     def test_vanishing_denominator_skips_numerator(self, monkeypatch):
         # An equivariant (3, 2) system, slot values (1, -3, 3, 2), whose
         # dod minor vanishes as given and after every shear; the value
-        # comes from the perturbation.
+        # comes from the perturbation, which also tests its denominator
+        # before its numerator.
         e1 = "(x1 + x2 + x3)"
         polys = [parse_poly(f"x{i}^2 - 3*x{i}*{e1} + 3*(x1*x2 + x1*x3 + "
                             f"x2*x3) + 2*{e1}*{e1}", 3, Z, degree=2)
@@ -232,7 +233,7 @@ class TestDegenerateDenominator:
         assert macaulay_resultant(polys) == Z.constant(-886464)
         rows, _, dod = macaulay_data(polys)
         failed = 1 + resultant_module.MAX_UNIMODULAR_RETRIES
-        assert dims == [len(dod)] * failed + [len(rows), len(dod)]
+        assert dims == [len(dod)] * (failed + 1) + [len(rows)]
 
 
 class TestPerturbationFallback:
@@ -272,8 +273,9 @@ class TestForcedFallbackChain:
     """``_try_quotient`` made to fail its first m attempts forces each
     step of the chain in turn: m = 0 keeps the given coordinates,
     m = k the k-th unimodular retry, and m = MAX_UNIMODULAR_RETRIES + 1
-    the perturbation.  Each case is nondegenerate in every coordinate
-    system tried, so the attempt count is exactly the forced one."""
+    the perturbation, whose own lifted quotient is one more attempt.
+    Each case is nondegenerate in every coordinate system tried, so
+    every step ends in exactly one successful attempt."""
 
     STEPS = range(resultant_module.MAX_UNIMODULAR_RETRIES + 2)
 
@@ -299,7 +301,7 @@ class TestForcedFallbackChain:
         attempts, perturbed = self.force(monkeypatch, m)
         assert macaulay_resultant(polys) == want
         retries = resultant_module.MAX_UNIMODULAR_RETRIES
-        assert len(attempts) == min(m, retries + 1) + (m <= retries)
+        assert len(attempts) == m + 1
         assert perturbed == ([len(polys)] if m > retries else [])
 
     @pytest.mark.parametrize("m", STEPS)

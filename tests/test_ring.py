@@ -117,6 +117,41 @@ def test_coefficient_exact_div_failure():
         a.exact_div(ring.zero())
 
 
+def assert_clean(c: Coefficient) -> None:
+    """What public construction guarantees, checked on a trusted result."""
+    width = len(c.ring.params)
+    assert all(v != 0 for v in c.terms.values())
+    assert all(len(e) == width and min(e, default=0) >= 0 for e in c.terms)
+    assert c == Coefficient(c.ring, c.terms)
+
+
+@pytest.mark.parametrize("params", [(), ("a",), ("a", "b"), ("a", "b", "c")])
+def test_arithmetic_results_are_clean(params):
+    rng = random.Random(13 + len(params))
+    ring = ParameterRing(params)
+    for _ in range(40):
+        x = random_coefficient(rng, ring, n_terms=4)
+        y = random_coefficient(rng, ring, n_terms=4)
+        k = rng.choice((0, 1, -1, 3, rng.randint(-99, 99)))
+        results = [x + y, x + (-x), x - y, x - x, y - x, -x, x * y,
+                   x * k, k * x, x * 0, x ** rng.randint(0, 4), x ** 0]
+        if not y.is_zero():
+            results += [(x * y).exact_div(y), (x * y - x * y).exact_div(y)]
+        for c in results:
+            assert_clean(c)
+
+
+def test_public_construction_still_checks():
+    ring = ParameterRing(("a", "b"))
+    with pytest.raises(ValueError):
+        Coefficient(ring, {(1,): 2})
+    with pytest.raises(ValueError):
+        Coefficient(ring, {(1, 0, 0): 2})
+    with pytest.raises(ValueError):
+        Coefficient(ring, {(1, -1): 2})
+    assert Coefficient(ring, {(1, 0): 0, (0, 1): 5}).terms == {(0, 1): 5}
+
+
 # --- Polynomial construction and bookkeeping --------------------------------
 
 def test_polynomial_rejects_inhomogeneous():
