@@ -86,6 +86,11 @@ def partitions(n: int, max_length: Optional[int] = None) -> List[Partition]:
             rem -= take
 
 
+def basis_partitions(n: int, d: int) -> List[Partition]:
+    """Partitions of d with parts at most n, indexing the e_lambda basis."""
+    return [lam for lam in partitions(d) if lam[0] <= n]
+
+
 def multinomial(lam: Partition) -> int:
     """n! over the product of the factorials of the parts."""
     num = math.factorial(lam.n)

@@ -17,14 +17,14 @@ is even.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict
 
-from symres.combinatorics import Partition, _as_partition, partitions
+from symres.combinatorics import Partition, _as_partition, basis_partitions
 from symres.divdiff import EquivariantSystem
 from symres.equivariant import (
     FactoredResultant,
     decompose_resultant,
-    elementary_symmetric,
+    expand_elementary,
 )
 from symres.resultant import macaulay_resultant
 from symres.ring import Coefficient, ParameterRing, Polynomial
@@ -35,26 +35,6 @@ def coefficient_name(lam: Partition) -> str:
     if lam[0] >= 10:
         return "c_" + "_".join(str(p) for p in lam)
     return "c" + "".join(str(p) for p in lam)
-
-
-def basis_partitions(n: int, d: int) -> List[Partition]:
-    """Partitions of d with parts at most n, indexing the e_lambda basis."""
-    return [lam for lam in partitions(d) if lam[0] <= n]
-
-
-def expand_elementary(lam, n: int,
-                      ring: Optional[ParameterRing] = None) -> Polynomial:
-    """The expanded product e_{lam_1} e_{lam_2} ... in n variables.
-
-    Zero (of the right nominal degree) whenever some part exceeds n.
-    """
-    lam = _as_partition(lam)
-    if ring is None:
-        ring = ParameterRing(())
-    out = Polynomial.constant(ring, n, 1)
-    for part in lam:
-        out = out * elementary_symmetric(ring, n, part)
-    return out
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 from symres.combinatorics import (
     Partition,
     _as_partition,
+    basis_partitions,
     falling_quotient,
     m_lambda,
     m_zero_resultant,
@@ -42,6 +43,21 @@ def elementary_symmetric(ring: ParameterRing, ambient: int,
         exp = tuple(1 if i in chosen else 0 for i in range(ambient))
         terms[exp] = ring.one()
     return Polynomial(ring, ambient, p, terms)
+
+
+def expand_elementary(lam, n: int,
+                      ring: Optional[ParameterRing] = None) -> Polynomial:
+    """The expanded product e_{lam_1} e_{lam_2} ... in n variables.
+
+    Zero (of the right nominal degree) whenever some part exceeds n.
+    """
+    lam = _as_partition(lam)
+    if ring is None:
+        ring = ParameterRing(())
+    out = Polynomial.constant(ring, n, 1)
+    for part in lam:
+        out = out * elementary_symmetric(ring, n, part)
+    return out
 
 
 def block_leads(lam: Partition) -> Tuple[int, ...]:
@@ -265,8 +281,7 @@ def _generic_layout(n: int, d: int):
         if j == 0:
             layout.append((k, None))
             continue
-        mus = [mu for mu in partitions(j) if mu[0] <= n]
-        layout.extend((k, mu) for mu in reversed(mus))
+        layout.extend((k, mu) for mu in reversed(basis_partitions(n, j)))
     return layout
 
 
@@ -283,8 +298,8 @@ def _system_from_first(ring: ParameterRing, n: int, d: int,
         if v == 0:
             continue
         part = Polynomial.monomial(ring, n, (k,) + (0,) * (n - 1), v)
-        for p in (mu or ()):
-            part = part * elementary_symmetric(ring, n, p)
+        if mu:
+            part = part * expand_elementary(mu, n, ring)
         first = first + part
     return EquivariantSystem(first.permute(_swap(n, 0, i))
                              for i in range(n))

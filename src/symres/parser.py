@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from symres.ring import Coefficient, Monomial, ParameterRing, Polynomial, grlex_key
+from symres.ring import Coefficient, Monomial, ParameterRing, Polynomial
 
 # Below the smallest digit limit Python lets int()/str() be set to (640),
 # so every piece converts whatever the interpreter-wide limit is.
@@ -183,7 +183,13 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             exp_tok = self.expect("int")
-            return base ** int(exp_tok.text)
+            try:
+                exponent = int(exp_tok.text)
+            except ValueError:  # past the interpreter's int digit limit
+                raise ParseError(
+                    f"exponent of {len(exp_tok.text)} digits is too large",
+                    exp_tok.offset) from None
+            return base ** exponent
         return base
 
     def atom(self) -> Coefficient:
@@ -193,7 +199,7 @@ class _Parser:
         if tok.kind == "ident":
             m = _VAR_RE.match(tok.text)
             if m:
-                idx = int(m.group(1))
+                idx = parse_int(m.group(1))
                 if not 1 <= idx <= self.ambient:
                     raise ParseError(
                         f"variable {tok.text!r} outside ambient 1..{self.ambient}",
@@ -228,14 +234,14 @@ def _parse_poly(text: str, ambient: int, ring: ParameterRing,
         by_monomial.setdefault(exp[:ambient], {})[exp[ambient:]] = v
     degrees = {sum(mexp) for mexp in by_monomial}
     if len(degrees) > 1:
-        raise ParseError(
-            f"inhomogeneous input: term degrees {sorted(degrees)}", 0)
+        listed = ", ".join(map(format_int, sorted(degrees)))
+        raise ParseError(f"inhomogeneous input: term degrees [{listed}]", 0)
     if degree is None:
         degree = degrees.pop() if degrees else 0
     elif degrees and degrees != {degree}:
         raise ParseError(
-            f"degree {degrees.pop()} does not match declared degree {degree}",
-            0)
+            f"degree {format_int(degrees.pop())} does not match declared "
+            f"degree {format_int(degree)}", 0)
     terms = {mexp: Coefficient(ring, pterms)
              for mexp, pterms in by_monomial.items()}
     return Polynomial(ring, ambient, degree, terms)
@@ -289,15 +295,13 @@ def print_coefficient(c: Coefficient) -> str:
     return _join_signed(parts)
 
 
-def print_poly(p) -> str:
-    """Canonical text form; also accepts a bare Coefficient."""
-    if isinstance(p, Coefficient):
-        return print_coefficient(p)
+def print_poly(p: Polynomial) -> str:
+    """Canonical text form, terms in decreasing (graded) lex order."""
     if p.is_zero():
         return "0"
     names = [f"x{i + 1}" for i in range(p.ambient)]
     parts: List[Tuple[int, str]] = []
-    for exp in sorted(p.terms, key=grlex_key, reverse=True):
+    for exp in sorted(p.terms, reverse=True):
         coeff = p.terms[exp]
         mon = "*".join(_format_power(names[i], e)
                        for i, e in enumerate(exp) if e)
@@ -345,8 +349,10 @@ def parse_system_file(text: str) -> SystemFile:
         raise ParseError(
             f"line {header_no}: malformed header {header!r}; expected "
             "'n=<int> d=<int> params=<comma list>'", 0)
-    n = int(m.group(1))
-    d = int(m.group(2))
+    try:
+        n, d = int(m.group(1)), int(m.group(2))
+    except ValueError:  # past the interpreter's int digit limit
+        raise ParseError(f"line {header_no}: n or d is too large", 0) from None
     if n < 1 or d < 1:
         raise ParseError(f"line {header_no}: need n >= 1 and d >= 1", 0)
     params = tuple(s.strip() for s in m.group(3).split(",") if s.strip())

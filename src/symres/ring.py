@@ -8,10 +8,14 @@ Everything here is integer-exact.  Two layers:
   * ``Polynomial``: a homogeneous polynomial in ``ambient`` main variables
     (printed x1..xn) whose coefficients are Coefficients.
 
-Term orders are fixed globally: graded lexicographic on main-variable
-exponents, plain lexicographic on parameter exponents.  Exact division at
-either layer follows the leading-term division algorithm, which succeeds
-if and only if the divisor divides the dividend.
+Both layers store their terms as ``{exponent tuple: coefficient}`` dicts
+and share one term kernel, ``_add``, ``_mul`` and ``_divide``; both are
+true exactly when nonzero, and their arithmetic results skip the checks
+of public construction through the private ``_trusted`` constructors.
+The term order is plain lexicographic on the exponent tuples; every
+Polynomial is homogeneous, so on its terms lex equals graded lex.  Exact
+division follows the leading-term division algorithm, which succeeds if
+and only if the divisor divides the dividend.
 
 ``determinant`` picks one of four routes from the matrix alone: a
 parameter-free matrix is eliminated over plain ints (``_bareiss_int``);
@@ -35,6 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import product
+from operator import add, sub
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
@@ -47,9 +52,81 @@ class NotDivisibleError(ArithmeticError):
     """Raised when an exact division has a nonzero remainder."""
 
 
-def grlex_key(exponents: Monomial) -> tuple:
-    """Sort key for graded lex: degree first, then lex on the tuple."""
-    return (sum(exponents), exponents)
+def _exact(a, b):
+    """The checked quotient a/b: ``divmod`` for ints, else ``exact_div``."""
+    if isinstance(a, int):
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisibleError(f"{b} does not divide {a}")
+        return q
+    return a.exact_div(b)
+
+
+# -- the term kernel: {exponent tuple: nonzero coefficient} dicts, with int
+# coefficients for a Coefficient and Coefficients for a Polynomial.  A
+# product of nonzero coefficients is nonzero, so only sums are tested.
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exp, c in b.items():
+        v = out.get(exp)
+        if v is None:
+            out[exp] = c
+        else:
+            v = v + c
+            if v:
+                out[exp] = v
+            else:
+                del out[exp]
+    return out
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            v = out.get(key)
+            if v is None:
+                out[key] = ca * cb
+            else:
+                v = v + ca * cb
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
+
+
+def _divide(a, b) -> dict:
+    """The terms of a/b, for Coefficients or Polynomials a and b != 0, by
+    leading-term division under lex order; raises NotDivisibleError
+    naming both when b does not divide a."""
+    bexp = max(b.terms)
+    bcoef = b.terms[bexp]
+    rem = dict(a.terms)
+    quo = {}
+    try:
+        while rem:
+            rexp = max(rem)
+            qexp = tuple(map(sub, rexp, bexp))
+            if any(x < 0 for x in qexp):
+                raise NotDivisibleError
+            qcoef = quo[qexp] = _exact(rem[rexp], bcoef)
+            for exp, c in b.terms.items():
+                key = tuple(map(add, qexp, exp))
+                v = rem.get(key)
+                if v is None:
+                    rem[key] = -(qcoef * c)
+                else:
+                    v = v - qcoef * c
+                    if v:
+                        rem[key] = v
+                    else:
+                        del rem[key]
+    except NotDivisibleError:
+        raise NotDivisibleError(f"{b!r} does not divide {a!r}") from None
+    return quo
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -137,6 +214,9 @@ class Coefficient:
 
     # -- predicates ------------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -154,10 +234,6 @@ class Coefficient:
             raise ValueError(f"not a constant: {self!r}")
         return next(iter(self.terms.values()))
 
-    def leading_term(self) -> Tuple[Monomial, int]:
-        exp = max(self.terms)
-        return exp, self.terms[exp]
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "Coefficient":
@@ -173,14 +249,7 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = out.get(exp, 0) + c
-            if v:
-                out[exp] = v
-            else:
-                out.pop(exp, None)
-        return self._trusted(self.ring, out)
+        return self._trusted(self.ring, _add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -205,16 +274,7 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: Dict[Monomial, int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(key, 0) + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return self._trusted(self.ring, out)
+        return self._trusted(self.ring, _mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -230,30 +290,9 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             raise TypeError("cannot divide by that")
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero Coefficient")
-        if self.is_zero():
-            return self.ring.zero()
-        oexp, ocoef = other.leading_term()
-        rem = dict(self.terms)
-        quo: Dict[Monomial, int] = {}
-        while rem:
-            rexp = max(rem)
-            qexp = tuple(x - y for x, y in zip(rexp, oexp))
-            if any(x < 0 for x in qexp):
-                raise NotDivisibleError(f"{other!r} does not divide {self!r}")
-            qcoef, r = divmod(rem[rexp], ocoef)
-            if r:
-                raise NotDivisibleError(f"{other!r} does not divide {self!r}")
-            quo[qexp] = qcoef
-            for exp, c in other.terms.items():
-                key = tuple(x + y for x, y in zip(qexp, exp))
-                v = rem.get(key, 0) - qcoef * c
-                if v:
-                    rem[key] = v
-                else:
-                    rem.pop(key, None)
-        return self._trusted(self.ring, quo)
+        return self._trusted(self.ring, _divide(self, other))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -294,7 +333,7 @@ class Polynomial:
                 c = ring.constant(c)
             elif c.ring != ring:
                 raise ValueError("coefficient from a different parameter ring")
-            if c.is_zero():
+            if not c:
                 continue
             if len(exp) != ambient or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp!r}")
@@ -308,6 +347,15 @@ class Polynomial:
         self.ambient = ambient
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, ring: ParameterRing, ambient: int, degree: int,
+                 terms: Dict[Monomial, Coefficient]):
+        """Wrap ``terms`` unchecked; arithmetic results are already clean."""
+        out = object.__new__(cls)
+        out.ring, out.ambient, out.degree, out.terms = \
+            ring, ambient, degree, terms
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -335,6 +383,9 @@ class Polynomial:
 
     # -- predicates ------------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -350,7 +401,7 @@ class Polynomial:
         return self.terms[(0,) * self.ambient]
 
     def leading_term(self) -> Tuple[Monomial, Coefficient]:
-        exp = max(self.terms, key=grlex_key)
+        exp = max(self.terms)
         return exp, self.terms[exp]
 
     def variables_used(self) -> Tuple[int, ...]:
@@ -376,26 +427,18 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        if not self.is_zero() and not other.is_zero() \
-                and self.degree != other.degree:
+        if self and other and self.degree != other.degree:
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree}")
-        degree = other.degree if self.is_zero() else self.degree
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = out.get(exp)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = v
-        return Polynomial(self.ring, self.ambient, degree, out)
+        degree = self.degree if self else other.degree
+        return Polynomial._trusted(self.ring, self.ambient, degree,
+                                   _add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, self.ambient, self.degree,
-                          {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.ring, self.ambient, self.degree,
+                                   {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int) and other == 0:
@@ -407,23 +450,14 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Coefficient)):
             scaled = {e: c * other for e, c in self.terms.items()}
-            return Polynomial(self.ring, self.ambient, self.degree, scaled)
+            return Polynomial._trusted(self.ring, self.ambient, self.degree,
+                                       scaled if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        out: Dict[Monomial, Coefficient] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(key)
-                prod = ca * cb
-                v = prod if v is None else v + prod
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return Polynomial(self.ring, self.ambient,
-                          self.degree + other.degree, out)
+        return Polynomial._trusted(self.ring, self.ambient,
+                                   self.degree + other.degree,
+                                   _mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -433,42 +467,18 @@ class Polynomial:
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Exact quotient self/other; raises NotDivisibleError otherwise.
 
-        Repeatedly cancels the graded-lex leading term of the remainder
-        against the leading term of the divisor.  Coefficient quotients
-        are themselves exact divisions in Z[params], so the result is
-        exact end to end.
+        Repeatedly cancels the leading term of the remainder against the
+        leading term of the divisor.  Coefficient quotients are themselves
+        exact divisions in Z[params], so the result is exact end to end.
         """
         if not isinstance(other, Polynomial):
             raise TypeError("divisor must be a Polynomial")
         self._check_compatible(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        degree = self.degree - other.degree
-        if self.is_zero():
-            return Polynomial.zero(self.ring, self.ambient, degree)
-        if degree < 0:
-            raise NotDivisibleError("divisor degree exceeds dividend degree")
-        oexp, ocoef = other.leading_term()
-        rem = dict(self.terms)
-        quo: Dict[Monomial, Coefficient] = {}
-        while rem:
-            rexp = max(rem, key=grlex_key)
-            qexp = tuple(x - y for x, y in zip(rexp, oexp))
-            if any(x < 0 for x in qexp):
-                raise NotDivisibleError(
-                    f"{other!r} does not divide {self!r}")
-            qcoef = rem[rexp].exact_div(ocoef)
-            quo[qexp] = qcoef
-            for exp, c in other.terms.items():
-                key = tuple(x + y for x, y in zip(qexp, exp))
-                v = rem.get(key)
-                prod = qcoef * c
-                v = -prod if v is None else v - prod
-                if v.is_zero():
-                    rem.pop(key, None)
-                else:
-                    rem[key] = v
-        return Polynomial(self.ring, self.ambient, degree, quo)
+        return Polynomial._trusted(self.ring, self.ambient,
+                                   self.degree - other.degree,
+                                   _divide(self, other))
 
     # -- structural operations --------------------------------------------
 
@@ -521,7 +531,7 @@ class Polynomial:
             for i, e in enumerate(exp):
                 img[sigma[i]] = e
             out[tuple(img)] = c
-        return Polynomial(self.ring, self.ambient, self.degree, out)
+        return Polynomial._trusted(self.ring, self.ambient, self.degree, out)
 
     def derivative(self, i: int):
         if not 0 <= i < self.ambient:
@@ -532,15 +542,13 @@ class Polynomial:
             if e:
                 key = exp[:i] + (e - 1,) + exp[i + 1:]
                 out[key] = c * e
-        return Polynomial(self.ring, self.ambient,
-                          max(self.degree - 1, 0) if not out else
-                          self.degree - 1, out)
+        return Polynomial(self.ring, self.ambient, max(self.degree - 1, 0),
+                          out)
 
     def evaluate(self, point: Sequence[int]) -> Coefficient:
         if len(point) != self.ambient:
             raise ValueError("point length must equal the ambient")
-        return self.substitute({i: int(v) for i, v in enumerate(point)}) \
-            if self.terms else self.ring.zero()
+        return self.substitute({i: int(v) for i, v in enumerate(point)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -557,22 +565,8 @@ class Polynomial:
     def __repr__(self) -> str:
         items = ", ".join(
             f"{e}: {c!r}" for e, c in sorted(self.terms.items(),
-                                             key=lambda kv: grlex_key(kv[0]),
                                              reverse=True))
         return f"Polynomial<n={self.ambient}, d={self.degree}, {items or '0'}>"
-
-
-def _is_zero(x) -> bool:
-    return x == 0 if isinstance(x, int) else x.is_zero()
-
-
-def _exact_quotient(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisibleError(f"{b} does not divide {a}")
-        return q
-    return a.exact_div(b)
 
 
 def _as_rows(m) -> list:
@@ -592,7 +586,7 @@ def determinant_cofactor(m):
             return mat[0][0]
         acc = None
         for j, entry in enumerate(mat[0]):
-            if _is_zero(entry):
+            if not entry:
                 continue
             minor = [row[:j] + row[j + 1:] for row in mat[1:]]
             piece = entry * rec(minor)
@@ -618,11 +612,10 @@ def determinant_minors(m):
     """
     rows = _as_rows(m)
     n = len(rows)
-    minors = {1 << r: row[0] for r, row in enumerate(rows)
-              if not _is_zero(row[0])}
+    minors = {1 << r: row[0] for r, row in enumerate(rows) if row[0]}
     for k in range(1, n):
         column = [(r, 1 << r, row[k]) for r, row in enumerate(rows)
-                  if not _is_zero(row[k])]
+                  if row[k]]
         nxt = {}
         for mask, minor in minors.items():
             for r, bit, entry in column:
@@ -634,7 +627,7 @@ def determinant_minors(m):
                 key = mask | bit
                 acc = nxt.get(key)
                 nxt[key] = term if acc is None else acc + term
-        minors = {mask: v for mask, v in nxt.items() if not _is_zero(v)}
+        minors = {mask: v for mask, v in nxt.items() if v}
     return minors[(1 << n) - 1] if minors else rows[0][0] * 0
 
 
@@ -651,7 +644,7 @@ def determinant_bareiss(m):
     for k in range(n - 1):
         pivot_row = None
         for i in range(k, n):
-            if not _is_zero(rows[i][k]):
+            if rows[i][k]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -666,23 +659,23 @@ def determinant_bareiss(m):
         scale_is_one = pivot == prev if prev is not None else pivot == 1
         for i in range(k + 1, n):
             head = rows[i][k]
-            head_zero = _is_zero(head)
+            head_zero = not head
             if head_zero and scale_is_one:
                 continue
             row_i, row_k = rows[i], rows[k]
             for j in range(k + 1, n):
                 a = row_i[j]
                 if head_zero:
-                    if _is_zero(a):
+                    if not a:
                         continue
                     elt = pivot * a
                 else:
                     b = row_k[j]
-                    if _is_zero(a) and _is_zero(b):
+                    if not a and not b:
                         continue
                     elt = pivot * a - head * b
                 if prev is not None:
-                    elt = _exact_quotient(elt, prev)
+                    elt = _exact(elt, prev)
                 row_i[j] = elt
     return rows[n - 1][n - 1] if sign > 0 else -rows[n - 1][n - 1]
 

@@ -87,6 +87,22 @@ class TestDecompose:
         assert cli.main(["decompose", str(path)]) == 2
         assert "header" in capsys.readouterr().err
 
+    # 4401 digits, over Python's default 4300-digit int/str limit
+    @pytest.mark.parametrize("text", [
+        "n=" + "1" * 4401 + " d=1 params=\nx1\n",
+        "n=1 d=" + "1" * 4401 + " params=\nx1\n",
+        "n=1 d=1 params=\nx" + "1" * 4401 + "\n",
+        "n=1 d=1 params=\nx1^" + "1" * 4401 + "\n",
+    ], ids=["header_n", "header_d", "variable_index", "exponent"])
+    def test_oversized_integers_are_parse_errors(self, tmp_path, capsys,
+                                                 text):
+        path = tmp_path / "big.sys"
+        path.write_text(text)
+        assert cli.main(["decompose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line")
+        assert "Exceeds the limit" not in err
+
 
 class TestVerify:
     def test_equal_system_exits_zero(self, linear_file, capsys):

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never
 uses, no module- or class-level definition goes unreferenced, and
-polynomial arithmetic lives in ``ring.py`` alone."""
+polynomial arithmetic and its unchecked ``_trusted`` constructors live
+in ``ring.py`` alone."""
 
 import ast
 from pathlib import Path
@@ -187,3 +188,26 @@ def test_detects_an_arithmetic_class():
                      "class Alias:\n    __mul__ = len\n"
                      "class Plain:\n    def __eq__(self, o): pass\n")
     assert set(arithmetic_classes(tree)) == {"Raw", "Alias"}
+
+
+def trusted_uses(tree):
+    """Lines that read a ``_trusted`` constructor, called or aliased."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "_trusted"
+                   or isinstance(node, ast.Name) and node.id == "_trusted"})
+
+
+def test_trusted_construction_stays_in_ring():
+    found = [f"{path.relative_to(ROOT)}: line {line}"
+             for path in SOURCES if path != PACKAGE / "ring.py"
+             for line in trusted_uses(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"unchecked construction outside ring.py: {found}"
+
+
+def test_detects_a_trusted_use():
+    tree = ast.parse("c = Coefficient._trusted(ring, {})\n"
+                     "d = Coefficient(ring, {})\n"
+                     "make = Polynomial._trusted\n"
+                     "def _trusted(): pass\n")
+    assert trusted_uses(tree) == [1, 3]

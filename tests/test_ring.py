@@ -18,7 +18,6 @@ from symres.ring import (
     determinant_bareiss,
     determinant_cofactor,
     determinant_minors,
-    grlex_key,
 )
 
 from conftest import random_coefficient, random_int_polynomial, random_polynomial
@@ -217,12 +216,61 @@ def test_polynomial_exact_div_round_trip():
     assert checked > 25
 
 
+def assert_clean_polynomial(p: Polynomial) -> None:
+    """What public construction guarantees, checked on a trusted result."""
+    assert not any(c.is_zero() for c in p.terms.values())
+    for c in p.terms.values():
+        assert_clean(c)
+    assert p == Polynomial(p.ring, p.ambient, p.degree, p.terms)
+    if p.terms:
+        assert p.leading_term()[0] == max(p.terms, key=lambda e: (sum(e), e))
+
+
+@pytest.mark.parametrize("params", [(), ("a",), ("a", "b")])
+def test_polynomial_results_are_clean(params):
+    rng = random.Random(31 + len(params))
+    ring = ParameterRing(params)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        d = rng.randint(0, 3)
+        x, y = (random_polynomial(rng, ring, n, d, n_terms=5)
+                for _ in range(2))
+        z = random_polynomial(rng, ring, n, rng.randint(1, 2))
+        c = random_coefficient(rng, ring)
+        k = rng.choice((0, 1, -1, rng.randint(-99, 99)))
+        sigma = rng.sample(range(n), n)
+        images = [random_polynomial(rng, ring, n, 1) for _ in range(n)]
+        results = [x + y, x + (-x), x - y, x - x, -x, x * y, x * z,
+                   x * c, c * x, x * ring.zero(), x * k, k * x, x * 0,
+                   x ** rng.randint(0, 3), x ** 0, x.permute(sigma),
+                   x.derivative(rng.randrange(n)),
+                   x.substitute(dict(enumerate(images)))]
+        if not z.is_zero():
+            results += [(x * z).exact_div(z), (x * z - x * z).exact_div(z)]
+        for p in results:
+            assert_clean_polynomial(p)
+        assert not (x * 0).terms and not (x * ring.zero()).terms
+        assert_clean(x.substitute({i: rng.randint(-3, 3) for i in range(n)}))
+
+
+def test_public_polynomial_construction_still_checks():
+    ring = ParameterRing(("a",))
+    for ambient, degree, terms in [(2, 1, {(1,): 1}), (2, 1, {(2, -1): 1}),
+                                   (1, -1, {(-1,): 1}), (0, 0, {})]:
+        with pytest.raises(ValueError):
+            Polynomial(ring, ambient, degree, terms)
+    with pytest.raises(ValueError):
+        Polynomial(ring, 1, 0, {(0,): ParameterRing(("b",)).one()})
+    for zero in (0, ring.zero()):
+        p = Polynomial(ring, 2, 1, {(1, 0): 3, (0, 1): zero})
+        assert p.terms == {(1, 0): ring.constant(3)}
+
+
 def test_leading_term_graded_lex():
     ring = ParameterRing()
     p = Polynomial(ring, 3, 2, {(0, 1, 1): 1, (1, 0, 1): 2, (0, 0, 2): 3})
     exp, c = p.leading_term()
     assert exp == (1, 0, 1) and c == 2
-    assert grlex_key((2, 0, 0)) > grlex_key((1, 1, 0))
 
 
 # --- substitute / permute / derivative ---------------------------------------
