@@ -11,6 +11,12 @@ Expressions are evaluated in Z[x1..xn, params] as ``Coefficient``s of
 one joint ring, so the parser has no arithmetic of its own and ^ is
 the ring's square-and-multiply power (0^0 = 1).  Only the value is
 split back into a ``Polynomial`` and checked for homogeneity.
+
+Each distinct parenthesised group and product term is evaluated once
+per call: a memo keyed by its source text lasts one
+``parse_system_file`` call, so the symmetric cofactors that every line
+of an equivariant system repeats are evaluated on the first line only;
+``parse_poly`` and ``parse_coefficient`` start a fresh memo each.
 """
 
 from __future__ import annotations
@@ -18,50 +24,20 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from symres.ring import Coefficient, Monomial, ParameterRing, Polynomial
+from symres.ring import (
+    Coefficient,
+    ParameterRing,
+    Polynomial,
+    format_int,
+    parse_int,
+    split_joint,
+)
 
-# Below the smallest digit limit Python lets int()/str() be set to (640),
-# so every piece converts whatever the interpreter-wide limit is.
-_DIGITS_PER_PIECE = 600
-_SIGNED_DIGITS_RE = re.compile(r"[+-]?\d+\Z")
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
-
-
-def format_int(k: int) -> str:
-    """Decimal text of an int of any length.
-
-    ``str`` refuses ints longer than ``sys.get_int_max_str_digits()``;
-    longer ones are split at a power of ten into pieces it accepts.
-    """
-    if k < 0:
-        return "-" + format_int(-k)
-    digits = int(k.bit_length() * 0.30103) + 1  # within one of the count
-    if digits <= _DIGITS_PER_PIECE:
-        return str(k)
-    low_digits = digits // 2
-    high, low = divmod(k, 10 ** low_digits)
-    return format_int(high) + format_int(low).zfill(low_digits)
-
-
-def parse_int(text: str) -> int:
-    """``int(text)`` for decimal text of any length."""
-    if len(text) <= _DIGITS_PER_PIECE:
-        return int(text)
-    text = text.strip()
-    if not _SIGNED_DIGITS_RE.match(text):
-        raise ValueError(f"invalid literal for int(): {text[:20]!r}...")
-    if text[0] in "+-":
-        value = parse_int(text[1:])
-        return -value if text[0] == "-" else value
-    low_digits = len(text) // 2
-    return (parse_int(text[:-low_digits]) * 10 ** low_digits
-            + parse_int(text[-low_digits:]))
-
-
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-                       r"|(?P<op>[-+*^()]))")
+                       r"|(?P<op>[-+*^()])|(?P<bad>\S))")
 
 
 class ParseError(ValueError):
@@ -73,30 +49,25 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> Tuple[List[Tuple[str, str, int]], Dict[int, int]]:
+    """The (kind, text, offset) tokens of ``text``, closed by an "end"
+    token, and the index of the matching ')' of every '(' that has one."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.lastgroup is not None:
-            tokens.append(_Token(m.lastgroup, m.group(m.lastgroup),
-                                 m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+    close: Dict[int, int] = {}
+    opened = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        offset = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[offset]!r}", offset)
+        tok = m.group(kind)
+        if tok == "(":
+            opened.append(len(tokens))
+        elif tok == ")" and opened:
+            close[opened.pop()] = len(tokens)
+        tokens.append((kind, tok, offset))
+    tokens.append(("end", "", len(text)))
+    return tokens, close
 
 
 def _atoms(ambient: int, ring: ParameterRing) -> Tuple[Coefficient, ...]:
@@ -115,104 +86,157 @@ def _atoms(ambient: int, ring: ParameterRing) -> Tuple[Coefficient, ...]:
 
 
 class _Parser:
+    """Recursive descent over one line's tokens.
+
+    ``memo`` maps the source text of every parenthesised group and
+    product term evaluated so far to its value.  A span's value depends
+    only on its text, given the ambient and ring, so a repeat is read
+    back instead of evaluated.  A value is stored only once its span has
+    parsed to exactly the end found from the paren map, so an error is
+    raised at a span's first occurrence, before its value could be
+    stored.  Memo values never leave the parser: the split copies their
+    terms.
+    """
+
     def __init__(self, text: str, ambient: int, ring: ParameterRing,
-                 atoms: Tuple[Coefficient, ...]):
-        self.tokens = _tokenize(text)
+                 atoms: Tuple[Coefficient, ...],
+                 memo: Dict[str, Coefficient]):
+        self.text = text
+        self.tokens, self.close = _tokenize(text)
         self.pos = 0
         self.ambient = ambient
         self.ring = ring
         self.atoms = atoms
+        self.memo = memo
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str,
+               text: Optional[str] = None) -> Tuple[str, str, int]:
         tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            want = text or kind
+            raise ParseError(f"expected {want!r}, found {tok[1] or 'end'!r}",
+                             tok[2])
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end'!r}",
-                             tok.offset)
-        return self.advance()
+    def memoized(self, end: int,
+                 evaluate: Callable[[], Coefficient]) -> Coefficient:
+        """``evaluate()`` of the span of tokens pos..end - 1, or its
+        value from the memo."""
+        _, last, offset = self.tokens[end - 1]
+        key = self.text[self.tokens[self.pos][2]:offset + len(last)]
+        value = self.memo.get(key)
+        if value is not None:
+            self.pos = end
+            return value
+        value = evaluate()
+        if self.pos == end:
+            self.memo[key] = value
+        return value
 
     def parse(self) -> Coefficient:
         value = self.expression()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.offset)
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", offset)
         return value
 
     def expression(self) -> Coefficient:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "+":
-            raise ParseError("unary plus is not allowed", tok.offset)
+        _, text, offset = self.tokens[self.pos]
+        if text == "+":
+            raise ParseError("unary plus is not allowed", offset)
         value = self.term()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
+            op = self.tokens[self.pos][1]
+            if op == "+":
+                self.pos += 1
+                value = value + self.term()
+            elif op == "-":
+                self.pos += 1
+                value = value - self.term()
             else:
                 return value
 
     def term(self) -> Coefficient:
-        value = self.unary()
+        end = self.term_end()
+        if end == self.pos:  # no operand: product() raises
+            return self.product()
+        return self.memoized(end, self.product)
+
+    def term_end(self) -> int:
+        """Index past the product term at pos: the first '+' or '-' after
+        an operand, ')' or end, outside the term's groups."""
+        tokens = self.tokens
+        i = self.pos
+        operand = False
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                value = value * self.unary()
-            else:
-                return value
+            kind, text, _ = tokens[i]
+            if (kind == "end" or text == ")"
+                    or operand and (text == "+" or text == "-")):
+                return i
+            if text == "(":
+                i = self.close.get(i)
+                if i is None:  # unclosed: the term runs to the end
+                    return len(tokens) - 1
+            operand = kind != "op" or text == "("
+            i += 1
+
+    def product(self) -> Coefficient:
+        value = self.unary()
+        while self.tokens[self.pos][1] == "*":
+            self.pos += 1
+            value = value * self.unary()
+        return value
 
     def unary(self) -> Coefficient:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.tokens[self.pos][1] == "-":
+            self.pos += 1
             return -self.unary()
         return self.power()
 
     def power(self) -> Coefficient:
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exp_tok = self.expect("int")
+        if self.tokens[self.pos][1] == "^":
+            self.pos += 1
+            _, digits, offset = self.expect("int")
             try:
-                exponent = int(exp_tok.text)
+                exponent = int(digits)
             except ValueError:  # past the interpreter's int digit limit
                 raise ParseError(
-                    f"exponent of {len(exp_tok.text)} digits is too large",
-                    exp_tok.offset) from None
+                    f"exponent of {len(digits)} digits is too large",
+                    offset) from None
             return base ** exponent
         return base
 
     def atom(self) -> Coefficient:
-        tok = self.advance()
-        if tok.kind == "int":
-            return self.atoms[0] * parse_int(tok.text)
-        if tok.kind == "ident":
-            m = _VAR_RE.match(tok.text)
+        if self.tokens[self.pos][1] == "(":
+            end = self.close.get(self.pos)
+            if end is None:  # unclosed: group() raises
+                return self.group()
+            return self.memoized(end + 1, self.group)
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "int":
+            return self.atoms[0] * parse_int(text)
+        if kind == "ident":
+            m = _VAR_RE.match(text)
             if m:
                 idx = parse_int(m.group(1))
                 if not 1 <= idx <= self.ambient:
                     raise ParseError(
-                        f"variable {tok.text!r} outside ambient 1..{self.ambient}",
-                        tok.offset)
+                        f"variable {text!r} outside ambient 1..{self.ambient}",
+                        offset)
                 return self.atoms[idx]
-            if tok.text in self.ring.params:
-                return self.atoms[1 + self.ambient + self.ring.index(tok.text)]
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            value = self.expression()
-            self.expect("op", ")")
-            return value
-        raise ParseError(f"unexpected token {tok.text or 'end'!r}", tok.offset)
+            if text in self.ring.params:
+                return self.atoms[1 + self.ambient + self.ring.index(text)]
+            raise ParseError(f"unknown identifier {text!r}", offset)
+        raise ParseError(f"unexpected token {text or 'end'!r}", offset)
+
+    def group(self) -> Coefficient:
+        self.pos += 1
+        value = self.expression()
+        self.expect("op", ")")
+        return value
 
 
 def parse_poly(text: str, ambient: int, ring: ParameterRing,
@@ -222,17 +246,15 @@ def parse_poly(text: str, ambient: int, ring: ParameterRing,
     ``degree`` fixes the expected degree (required to make sense of a
     zero polynomial); when omitted it is inferred from the terms.
     """
-    return _parse_poly(text, ambient, ring, degree, _atoms(ambient, ring))
+    return _parse_poly(text, ambient, ring, degree, _atoms(ambient, ring), {})
 
 
 def _parse_poly(text: str, ambient: int, ring: ParameterRing,
-                degree: Optional[int],
-                atoms: Tuple[Coefficient, ...]) -> Polynomial:
-    value = _Parser(text, ambient, ring, atoms).parse()
-    by_monomial: Dict[Monomial, Dict[Monomial, int]] = {}
-    for exp, v in value.terms.items():
-        by_monomial.setdefault(exp[:ambient], {})[exp[ambient:]] = v
-    degrees = {sum(mexp) for mexp in by_monomial}
+                degree: Optional[int], atoms: Tuple[Coefficient, ...],
+                memo: Dict[str, Coefficient]) -> Polynomial:
+    value = _Parser(text, ambient, ring, atoms, memo).parse()
+    terms = split_joint(value, ambient, ring)
+    degrees = {sum(mexp) for mexp in terms}
     if len(degrees) > 1:
         listed = ", ".join(map(format_int, sorted(degrees)))
         raise ParseError(f"inhomogeneous input: term degrees [{listed}]", 0)
@@ -242,8 +264,6 @@ def _parse_poly(text: str, ambient: int, ring: ParameterRing,
         raise ParseError(
             f"degree {format_int(degrees.pop())} does not match declared "
             f"degree {format_int(degree)}", 0)
-    terms = {mexp: Coefficient(ring, pterms)
-             for mexp, pterms in by_monomial.items()}
     return Polynomial(ring, ambient, degree, terms)
 
 
@@ -365,10 +385,11 @@ def parse_system_file(text: str) -> SystemFile:
         raise ParseError(
             f"expected {n} polynomial lines, found {len(body)}", 0)
     atoms = _atoms(n, ring)
+    memo: Dict[str, Coefficient] = {}
     polys = []
     for no, line in body:
         try:
-            polys.append(_parse_poly(line, n, ring, d, atoms))
+            polys.append(_parse_poly(line, n, ring, d, atoms, memo))
         except ParseError as exc:
             raise ParseError(f"line {no}: {exc.message}", exc.offset) from None
     return SystemFile(n=n, d=d, ring=ring, polys=tuple(polys))

@@ -31,6 +31,10 @@ loses badly past the cap.  On dense random Macaulay numerators over
 three parameters minor expansion beat Bareiss at 12 rows and lost at
 14.  ``determinant_cofactor``, ``determinant_minors`` and
 ``determinant_bareiss`` stay public as test oracles.
+
+``format_int`` and ``parse_int`` convert ints of any length to and from
+decimal text, so messages and reprs never hit Python's int/str digit
+limit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,41 @@ Monomial = Tuple[int, ...]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VARLIKE_RE = re.compile(r"[xy][0-9]+\Z")
+# Below the smallest digit limit Python lets int()/str() be set to (640),
+# so every piece converts whatever the interpreter-wide limit is.
+_DIGITS_PER_PIECE = 600
+_SIGNED_DIGITS_RE = re.compile(r"[+-]?\d+\Z")
+
+
+def format_int(k: int) -> str:
+    """Decimal text of an int of any length.
+
+    ``str`` refuses ints longer than ``sys.get_int_max_str_digits()``;
+    longer ones are split at a power of ten into pieces it accepts.
+    """
+    if k < 0:
+        return "-" + format_int(-k)
+    digits = int(k.bit_length() * 0.30103) + 1  # within one of the count
+    if digits <= _DIGITS_PER_PIECE:
+        return str(k)
+    low_digits = digits // 2
+    high, low = divmod(k, 10 ** low_digits)
+    return format_int(high) + format_int(low).zfill(low_digits)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for decimal text of any length."""
+    if len(text) <= _DIGITS_PER_PIECE:
+        return int(text)
+    text = text.strip()
+    if not _SIGNED_DIGITS_RE.match(text):
+        raise ValueError(f"invalid literal for int(): {text[:20]!r}...")
+    if text[0] in "+-":
+        value = parse_int(text[1:])
+        return -value if text[0] == "-" else value
+    low_digits = len(text) // 2
+    return (parse_int(text[:-low_digits]) * 10 ** low_digits
+            + parse_int(text[-low_digits:]))
 
 
 class NotDivisibleError(ArithmeticError):
@@ -57,7 +96,8 @@ def _exact(a, b):
     if isinstance(a, int):
         q, r = divmod(a, b)
         if r:
-            raise NotDivisibleError(f"{b} does not divide {a}")
+            raise NotDivisibleError(
+                f"{format_int(b)} does not divide {format_int(a)}")
         return q
     return a.exact_div(b)
 
@@ -305,8 +345,8 @@ class Coefficient:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items(),
-                                                         reverse=True))
+        items = ", ".join(f"{e}: {format_int(c)}"
+                          for e, c in sorted(self.terms.items(), reverse=True))
         return f"Coefficient<{items or '0'}>"
 
 
@@ -569,6 +609,19 @@ class Polynomial:
         return f"Polynomial<n={self.ambient}, d={self.degree}, {items or '0'}>"
 
 
+def split_joint(value: Coefficient, ambient: int,
+                ring: ParameterRing) -> Dict[Monomial, Coefficient]:
+    """``{main exponent: Coefficient over ring}`` of a ``value`` in the
+    joint ring Z[x1..x_ambient, params], whose exponent tuples hold the
+    ``ambient`` main exponents first.  The kernel's terms are already
+    clean, so the pieces skip the checks of public construction."""
+    pieces: Dict[Monomial, Dict[Monomial, int]] = {}
+    for exp, c in value.terms.items():
+        pieces.setdefault(exp[:ambient], {})[exp[ambient:]] = c
+    return {mexp: Coefficient._trusted(ring, terms)
+            for mexp, terms in pieces.items()}
+
+
 def _as_rows(m) -> list:
     rows = [list(row) for row in m]
     if not rows or any(len(row) != len(rows) for row in rows):
@@ -713,7 +766,8 @@ def _bareiss_int(rows: list) -> int:
                         q, r = divmod(head * row_k[j], prev)
                         if r:
                             raise NotDivisibleError(
-                                f"{prev} does not divide {head * row_k[j]}")
+                                f"{format_int(prev)} does not divide "
+                                f"{format_int(head * row_k[j])}")
                         row_i[j] -= q
         else:
             for row_i in rows[k + 1:]:
@@ -725,7 +779,8 @@ def _bareiss_int(rows: list) -> int:
                         q, r = divmod(elt, prev)
                         if r:
                             raise NotDivisibleError(
-                                f"{prev} does not divide {elt}")
+                                f"{format_int(prev)} does not divide "
+                                f"{format_int(elt)}")
                         row_i[j] = q
         prev = pivot
     last = rows[n - 1][n - 1]

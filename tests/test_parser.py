@@ -3,9 +3,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 import pytest
 
+import symres.ring as ring_module
+from symres.combinatorics import basis_partitions
+from symres.equivariant import expand_elementary
 from symres.parser import (
     ParseError,
     emit_factored_json,
@@ -50,27 +54,54 @@ def test_parse_zero():
     assert p.is_zero() and p.degree == 3
 
 
+# (text, declared degree, message, offset), each recorded before the
+# tokenizer produced tuples and the parser kept a memo
+PARSE_ERRORS = [
+    ("x1 +", 1, "unexpected token 'end'", 4),
+    ("+x1", 1, "unary plus is not allowed", 0),
+    ("2x1", 1, "trailing input 'x1'", 1),  # implicit multiplication
+    ("x1 x2", 2, "trailing input 'x2'", 3),
+    ("x1^a", 1, "expected 'int', found 'a'", 3),  # integer exponents only
+    ("x3", 1, "variable 'x3' outside ambient 1..2", 0),
+    ("z*x1", 1, "unknown identifier 'z'", 0),
+    ("x1 + x2^2", None, "inhomogeneous input: term degrees [1, 2]", 0),
+    ("x1^2", 3, "degree 2 does not match declared degree 3", 0),
+    ("x1 @ x2", 1, "unexpected character '@'", 3),
+    ("(x1 + x2", 1, "expected ')', found 'end'", 8),  # unclosed group
+    ("x1 + x2)", 1, "trailing input ')'", 7),  # stray ')'
+    (")x1", 1, "unexpected token ')'", 0),
+    ("((x1 + x2)", 1, "expected ')', found 'end'", 10),
+    ("x1*+x2", 2, "unexpected token '+'", 3),
+    ("()", 1, "unexpected token ')'", 1),
+    ("x1*(x2 @", 2, "unexpected character '@'", 7),
+]
+
+_G1 = "(x1 + x2 + x3)"
+_G2 = "(x1*x2 + x1*x3 + x2*x3)"
+_REPEATED = "".join(f"x{i}*{_G1} + a*{_G2}\n" for i in (1, 2))
+# (third polynomial line, message, offset): an error inside a near-copy
+# of a group that the two lines before it repeat
+SYSTEM_FILE_ERRORS = [
+    (f"x3*(x1 + x2 $ x3) + a*{_G2}", "line 4: unexpected character '$'", 12),
+    (f"x3*{_G1} + a*(x1*x2 + x1*x4 + x2*x3)",
+     "line 4: variable 'x4' outside ambient 1..3", 34),
+    (f"x3*{_G1} + a*(x1*x2 + x1*x3 + x2*x3",
+     "line 4: expected ')', found 'end'", 44),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_poly("x1 +", 2, AB, degree=1)
-    with pytest.raises(ParseError):
-        parse_poly("+x1", 2, AB, degree=1)  # unary plus forbidden
-    with pytest.raises(ParseError):
-        parse_poly("2x1", 2, AB, degree=1)  # implicit multiplication
-    with pytest.raises(ParseError):
-        parse_poly("x1 x2", 2, AB, degree=2)
-    with pytest.raises(ParseError):
-        parse_poly("x1^a", 2, AB, degree=1)  # exponent must be an integer
-    with pytest.raises(ParseError):
-        parse_poly("x3", 2, AB, degree=1)  # outside the ambient
-    with pytest.raises(ParseError):
-        parse_poly("z*x1", 2, AB, degree=1)  # unknown identifier
-    with pytest.raises(ParseError):
-        parse_poly("x1 + x2^2", 2, AB)  # inhomogeneous
-    with pytest.raises(ParseError):
-        parse_poly("x1^2", 2, AB, degree=3)  # contradicts declared degree
-    with pytest.raises(ParseError):
-        parse_poly("x1 @ x2", 2, AB, degree=1)
+    for text, degree, message, offset in PARSE_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 2, AB, degree=degree)
+        assert (info.value.message, info.value.offset) == (message, offset), \
+            text
+    for line, message, offset in SYSTEM_FILE_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse_system_file(f"n=3 d=2 params=a\n{_REPEATED}{line}\n")
+        assert (info.value.message, info.value.offset) == (message, offset), \
+            line
+        assert str(info.value) == f"{message} (at offset {offset})"
 
 
 def test_parse_error_offset():
@@ -221,6 +252,105 @@ def test_emit_factored_json_shape():
         {"expr": "a + 4*b", "multiplicity": 1},
     ]
     assert list(doc["factors"][0]) == ["expr", "multiplicity"]
+
+
+# --- one evaluation per distinct group and term of a file --------------------
+
+def _e_sum(p, n):
+    return "(" + " + ".join("*".join(f"x{i + 1}" for i in chosen)
+                            for chosen in combinations(range(n), p)) + ")"
+
+
+def _equivariant_file(rng, n, d, params):
+    """A seeded system file shaped like the benchmark's: line i is
+    F^{i} = sum_k x_i^k S_{d-k}, each S_j a combination of products of
+    expanded e-sums in parentheses; returns the text and the expected
+    polynomials, built by ring arithmetic."""
+    ring = ParameterRing(params)
+    slots = [(k, mu) for k in range(d, -1, -1)
+             for mu in (basis_partitions(n, d - k) if k < d else [()])]
+    values = [rng.randint(-3, 3) for _ in slots]
+    values[0] = values[0] or 1
+    for name, pos in zip(params, rng.sample(range(len(slots)), len(params))):
+        values[pos] = name
+    lines, polys = [f"n={n} d={d} params={','.join(params)}"], []
+    for i in range(n):
+        pieces, poly = [], Polynomial.zero(ring, n, d)
+        for (k, mu), v in zip(slots, values):
+            if v == 0:
+                continue
+            factors = [f"x{i + 1}^{k}" if k > 1 else f"x{i + 1}"] if k else []
+            body = "*".join(factors + [_e_sum(p, n) for p in mu])
+            scale = ring.parameter(v) if isinstance(v, str) else v
+            if isinstance(v, str):
+                pieces.append((" + ", f"{v}*{body}"))
+            else:
+                pieces.append((" - " if v < 0 else " + ",
+                               body if abs(v) == 1 else f"{abs(v)}*{body}"))
+            monomial = Polynomial.monomial(
+                ring, n, tuple(k if j == i else 0 for j in range(n)))
+            cofactor = (expand_elementary(mu, n, ring) if mu
+                        else Polynomial.constant(ring, n, 1))
+            poly = poly + monomial * cofactor * scale
+        sign, first = pieces[0]
+        lines.append(("-" if sign == " - " else "") + first
+                     + "".join(sign + piece for sign, piece in pieces[1:]))
+        polys.append(poly)
+    return "\n".join(lines) + "\n", polys
+
+
+@pytest.mark.parametrize("n,d,params", [
+    (8, 2, ()), (9, 3, ("a",)), (10, 2, ("a", "b")), (11, 3, ()),
+    (12, 2, ("a",)), (12, 3, ("a", "b"))])
+def test_memo_gives_the_values_of_lines_parsed_alone(n, d, params):
+    rng = random.Random(f"memo:{n}:{d}:{len(params)}")
+    text, expected = _equivariant_file(rng, n, d, params)
+    sf = parse_system_file(text)
+    assert (sf.n, sf.d, sf.ring.params) == (n, d, params)
+    for line, poly, want in zip(text.splitlines()[1:], sf.polys, expected):
+        assert poly == parse_poly(line, n, sf.ring, d) == want, line
+
+
+def test_memo_spans_at_the_edges():
+    ring = ParameterRing()
+    x1, x2 = (Polynomial.variable(ring, 5, i) for i in range(2))
+    s = x1 + x2
+    group = "(x1 + x2)"
+    lines = [
+        (f"x1^2*{group}", x1 * x1 * s),
+        (f"-3*{group}*{group}*x2", s * s * x2 * -3),
+        (f"2*-x1*{group}*x2", x1 * s * x2 * -2),
+        (f"(({group[1:-1]}))*{group}*x1", s * s * x1),
+        (f"{group}*{group}*x1 - x1^2*{group}", s * s * x1 - x1 * x1 * s),
+    ]
+    sf = parse_system_file("n=5 d=3 params=\n"
+                           + "".join(line + "\n" for line, _ in lines))
+    for (line, want), poly in zip(lines, sf.polys):
+        assert poly == parse_poly(line, 5, ring, 3) == want, line
+    with pytest.raises(ParseError) as info:
+        parse_system_file("n=2 d=2 params=\nx1^2\nx1^2^3\n")
+    assert (info.value.message, info.value.offset) == (
+        "line 3: trailing input '^'", 4)
+    with pytest.raises(ParseError) as info:
+        parse_poly("x1^2^3", 2, ring)
+    assert (info.value.message, info.value.offset) == ("trailing input '^'", 4)
+
+
+def test_memo_cuts_the_products_of_a_file(monkeypatch):
+    text, _ = _equivariant_file(random.Random("memo-count"), 12, 2, ("a", "b"))
+    kernel, calls = ring_module._mul, []
+
+    def counting(a, b):
+        calls.append(None)
+        return kernel(a, b)
+
+    monkeypatch.setattr(ring_module, "_mul", counting)
+    sf = parse_system_file(text)
+    whole = len(calls)
+    for line in text.splitlines()[1:]:
+        parse_poly(line, 12, sf.ring, 2)
+    alone = len(calls) - whole
+    assert 4 * whole <= alone, (whole, alone)
 
 
 # --- evaluation in the joint ring Z[x, params] -------------------------------

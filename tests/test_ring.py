@@ -18,6 +18,8 @@ from symres.ring import (
     determinant_bareiss,
     determinant_cofactor,
     determinant_minors,
+    format_int,
+    split_joint,
 )
 
 from conftest import random_coefficient, random_int_polynomial, random_polynomial
@@ -116,6 +118,20 @@ def test_coefficient_exact_div_failure():
         a.exact_div(ring.zero())
 
 
+def test_division_errors_print_integers_of_any_length():
+    # past Python's default 4300-digit int/str limit
+    a = ParameterRing(("a",)).parameter("a")
+    big = 10 ** 4400
+    for num, den, shown in ((a * (big + 1), big, (big, big + 1)),
+                            (a * a + 1, a * big, (big,))):
+        with pytest.raises(NotDivisibleError) as info:
+            num.exact_div(den)
+        message = str(info.value)
+        assert "does not divide" in message
+        assert all(format_int(k) in message for k in shown)
+    assert repr(a * -big) == f"Coefficient<(1,): -{format_int(big)}>"
+
+
 def assert_clean(c: Coefficient) -> None:
     """What public construction guarantees, checked on a trusted result."""
     width = len(c.ring.params)
@@ -138,6 +154,21 @@ def test_arithmetic_results_are_clean(params):
             results += [(x * y).exact_div(y), (x * y - x * y).exact_div(y)]
         for c in results:
             assert_clean(c)
+
+
+@pytest.mark.parametrize("params", [(), ("a",), ("a", "b")])
+def test_split_joint_pieces_are_clean(params):
+    rng = random.Random(17 + len(params))
+    ring = ParameterRing(params)
+    joint = ParameterRing(("x_1", "x_2", "x_3") + params)
+    for _ in range(30):
+        value = random_coefficient(rng, joint, max_degree=4, n_terms=6)
+        pieces = split_joint(value, 3, ring)
+        for mexp, c in pieces.items():
+            assert len(mexp) == 3 and c.ring == ring
+            assert_clean(c)
+        assert {mexp + pexp: v for mexp, c in pieces.items()
+                for pexp, v in c.terms.items()} == value.terms
 
 
 def test_public_construction_still_checks():
