@@ -24,12 +24,14 @@ is packed into plain ints, eliminated once by ``_bareiss_int`` and read
 back (``_determinant_packed``); any other symbolic one of at most
 ``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes to the division-free
 ``determinant_minors``, and a larger one to the fraction-free
-``determinant_bareiss``.  Both caps are measured.  Packing makes every
-entry an integer as long as the determinant's degree box times its
-coefficient width, so it wins for few parameters and low degrees and
-loses badly past the cap.  On dense random Macaulay numerators over
-three parameters minor expansion beat Bareiss at 12 rows and lost at
-14.  ``determinant_cofactor``, ``determinant_minors`` and
+``determinant_bareiss``.  Both Bareiss loops pivot in each column on
+the smallest nonzero entry (fewest bits, or fewest terms), and packing
+sizes its digits by Hadamard's bound.  Both caps are measured.  Packing
+makes every entry an integer as long as the determinant's degree box
+times its coefficient width, so it wins for few parameters and low
+degrees and loses badly past the cap.  On random Macaulay numerators
+over three parameters minor expansion beat Bareiss at 12 rows and lost
+or tied at 14.  ``determinant_cofactor``, ``determinant_minors`` and
 ``determinant_bareiss`` stay public as test oracles.
 
 ``format_int`` and ``parse_int`` convert ints of any length to and from
@@ -687,21 +689,21 @@ def determinant_minors(m):
 def determinant_bareiss(m):
     """Exact determinant by single-step fraction-free elimination.
 
-    Pivots on the first nonzero entry of each column, tracking the sign
-    of row swaps; every interior division is by the previous pivot and
-    is exact, so entries stay in the ring throughout.
+    Pivots in each column on the nonzero entry with the fewest terms
+    (the fewest bits for an int entry), the first such row on a tie,
+    tracking the sign of row swaps: a small pivot keeps every product
+    of the next step small.  Every interior division is by the previous
+    pivot and is exact, so entries stay in the ring throughout.
     """
     rows = _as_rows(m)
     n = len(rows)
     sign = 1
     for k in range(n - 1):
-        pivot_row = None
-        for i in range(k, n):
-            if rows[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        heads = [(x.bit_length() if isinstance(x, int) else len(x.terms), i)
+                 for i, x in enumerate((row[k] for row in rows[k:]), k) if x]
+        if not heads:
             return rows[0][0] * 0
+        pivot_row = min(heads)[1]
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
@@ -736,25 +738,29 @@ def determinant_bareiss(m):
 def _bareiss_int(rows: list) -> int:
     """``determinant_bareiss`` on rows of plain ints, overwriting them.
 
-    Zero entries are skipped.  While the pivot equals the previous one
-    the scale is 1, so rows with a zero head keep their values and the
-    others change only where the pivot row is nonzero.  Every division
-    is still checked.
+    Each column pivots on its nonzero entry of fewest bits, the first
+    such row on a tie: a packed matrix holds entries of a few bits next
+    to ones of thousands, and every product of the step, and so every
+    later entry, grows with the pivot.  The pivot is searched in its
+    column only; a full search costs more than it saves on wide int
+    matrices.  Zero entries are skipped.  While the pivot equals the
+    previous one the scale is 1, so rows with a zero head keep their
+    values and the others change only where the pivot row is nonzero.
+    Every division is still checked.
     """
     n = len(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
+        heads = [(x.bit_length(), i)
+                 for i, x in enumerate((row[k] for row in rows[k:]), k) if x]
+        if not heads:
+            return 0
+        i = min(heads)[1]
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
         row_k = rows[k]
-        if not row_k[k]:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], row_k
-                    row_k = rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         pivot = row_k[k]
         cols = range(k + 1, n)
         if pivot == prev:
@@ -820,21 +826,26 @@ def _lowered(rows: list):
     return ints, ring.constant
 
 
-# Largest symbolic matrix sent to minor expansion.  On dense random
-# Macaulay numerators over three parameters (medians, pure CPython) it
-# beat Bareiss at 12 rows, 2.5 s against 5.6 s for degrees (7, 5), and
-# lost at 14 rows, 16.4 s against 11.2 s for degrees (7, 7).
+# Largest symbolic matrix sent to minor expansion.  On random binary
+# Macaulay numerators over three parameters, entries of degree at most 1
+# (single runs, pure CPython), it beat Bareiss at 12 rows, 5.2 s against
+# 8.3 s dense and 0.7 s against 1.7 s sparse for degrees (7, 5); at 14
+# rows, degrees (7, 7), it lost dense, 34.4 s against 27.0 s, and tied
+# sparse, 5.8 s against 6.3 s.  The sparse 15-row ternary numerators
+# past the packing cap took 0.10 s and 1.5 s on Bareiss against 3.8 s
+# and 9.0 s.
 MINOR_EXPANSION_MAX_DIM = 12
 
 # Longest Kronecker packing, in bits, sent to one int elimination.  Timed
 # against minor expansion and Bareiss on every symbolic determinant of the
-# tests and of the benchmark workloads (pure CPython).  Up to 25.5k bits
-# packing was faster on all but a 12-row diagonal (2 ms slower): a
-# two-parameter 15-row Macaulay numerator went from 1.2-1.4 s to 0.04 s,
-# a 56-row perturbation over Z[eps] from 30 s to 1.0 s.  From 61k bits up
-# it lost on all: five-row chains over 5-7 parameters went from
-# 0.003-0.015 s to 0.05-0.18 s, a three-parameter 15-row numerator of
-# 175k bits from 0.26 s to 3.8 s.
+# tests and of the benchmark workloads (pure CPython).  Up to 24.4k bits
+# packing was faster on all of 6 rows or more but a 12-row diagonal
+# (2 ms slower), and at most 1.5 ms slower on fewer rows: a two-parameter
+# 15-row Macaulay numerator went from 0.08 s to 0.007 s, a 56-row
+# perturbation over Z[eps] from 4.3 s to 0.08 s.  From 57k bits up it
+# lost on all: five-row chains over 5-7 parameters went from
+# 0.002-0.007 s to 0.05-0.7 s, a three-parameter 15-row numerator of
+# 137k bits from 0.10 s to 2.4 s.
 PACKED_MAX_BITS = 1 << 15
 
 
@@ -845,14 +856,18 @@ def _determinant_packed(rows: list):
 
     D_i, the sum over rows of each row's largest exponent of t_i (or
     the same sum over columns, whichever is smaller), bounds the degree
-    of the determinant in t_i.  B, the product over rows of the summed
-    absolute coefficients of each row (or over columns, whichever is
-    smaller), bounds its l1-norm, so every coefficient is a signed digit
-    of K = B.bit_length() + 1 bits.  With t_i = 2^(K s_i), s_1 = 1 and
-    s_(i+1) = s_i (D_i + 1), each exponent in the degree box owns its
-    own digit, and the int determinant read back in signed K-bit digits
-    is the polynomial one (von zur Gathen and Gerhard, *Modern Computer
-    Algebra*, 8.4).  A value outside the box raises ArithmeticError.
+    of the determinant in t_i.  With N the l1-norm of an entry, B, the
+    square root (rounded up) of the product over rows of each row's sum
+    of N^2 (or the same over columns, whichever is smaller), bounds
+    every coefficient: on the unit torus each entry has modulus at most
+    N, so the determinant has modulus at most B (Hadamard), and by
+    Parseval no coefficient exceeds that maximum.  Every coefficient is
+    then a signed digit of K = B.bit_length() + 1 bits.  With
+    t_i = 2^(K s_i), s_1 = 1 and s_(i+1) = s_i (D_i + 1), each exponent
+    in the degree box owns its own digit, and the int determinant read
+    back in signed K-bit digits is the polynomial one (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 8.4).  A value outside the box
+    raises ArithmeticError.
     """
     first = rows[0][0]
     if not isinstance(first, Coefficient):
@@ -861,11 +876,13 @@ def _determinant_packed(rows: list):
     if any(not isinstance(x, Coefficient) or x.ring is not ring
            and x.ring != ring for row in rows for x in row):
         return None
-    norms = [[sum(map(abs, x.terms.values())) for x in row] for row in rows]
-    bound = min(math.prod(map(sum, norms)),
-                math.prod(map(sum, zip(*norms))))
-    if not bound:
+    squares = [[sum(map(abs, x.terms.values())) ** 2 for x in row]
+               for row in rows]
+    square_bound = min(math.prod(map(sum, squares)),
+                       math.prod(map(sum, zip(*squares))))
+    if not square_bound:
         return ring.zero()
+    bound = math.isqrt(square_bound - 1) + 1
     # each entry's largest exponent of every parameter
     flat = (0,) * len(ring.params)
     tops = [[tuple(map(max, zip(flat, *x.terms))) for x in row]

@@ -490,6 +490,82 @@ def test_int_determinant_forced_row_swaps_and_singular():
     assert determinant([[7]]) == 7
 
 
+# --- smallest pivot ----------------------------------------------------------
+
+def wide_entry():
+    """0, +-1..9 or +-(2^k + c) with k <= 300: a column's smallest
+    nonzero entry is rarely its first."""
+    big = st.builds(lambda k, c, sign: sign * ((1 << k) + c),
+                    st.integers(10, 300), st.integers(-9, 9),
+                    st.sampled_from((1, -1)))
+    return st.one_of(st.just(0), st.integers(-9, 9), big, big)
+
+
+@st.composite
+def wide_int_matrices(draw):
+    """Square int matrices of size 1-8 with entries from ``wide_entry``.
+    Some have a column whose only small entry sits in the last row, and
+    some are made singular by a multiple of another row or a zero
+    column."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(wide_entry(), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("plain", "last_small", "multiple", "zero")))
+    if kind == "last_small":
+        j = draw(st.integers(0, n - 1))
+        for row in rows[:-1]:
+            row[j] = draw(st.sampled_from((1, -1))) * ((1 << 200) + 1)
+        rows[-1][j] = draw(st.sampled_from((1, -1, 2, -3)))
+    elif n > 1 and kind == "multiple":
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-1, 2, (1 << 150) + 3)))
+        rows[i] = [c * x for x in rows[j]]
+    elif kind == "zero":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_int_matrices())
+def test_smallest_pivot_matches_oracles_on_wide_ints(rows):
+    expected = determinant_minors(rows)
+    if len(rows) <= 7:
+        assert determinant_cofactor(rows) == expected
+    assert determinant(rows) == expected
+    assert determinant_bareiss(rows) == expected
+
+
+def test_smallest_pivot_where_only_the_last_row_is_small():
+    big = (1 << 300) + 7
+    rows = [[big, 3, 1], [-big, 0, 5], [2, big, -big]]
+    expected = det_permutation_expansion(rows)
+    assert determinant(rows) == expected
+    assert determinant_bareiss(rows) == expected
+    assert determinant([[big, 0], [1, big]]) == big * big
+    assert determinant([[big, 1], [2 * big, 2]]) == 0
+
+
+def test_smallest_pivot_on_coefficient_heads_of_differing_length():
+    """Column heads of 0 to 5 terms, so the fewest-term pivot is rarely
+    the first nonzero entry; some matrices are singular."""
+    ring = ParameterRing(("a", "b"))
+    rng = random.Random(67)
+    for trial in range(30):
+        n = rng.randint(1, 7)
+        rows = [[random_coefficient(rng, ring, max_degree=2,
+                                    n_terms=rng.choice((0, 1, 2, 5)))
+                 for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 4 == 0:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [x * (ring.parameter("a") + 2) for x in rows[j]]
+        value = determinant_bareiss(rows)
+        assert value == determinant_minors(rows)
+        if n > 1 and trial % 4 == 0:
+            assert value.is_zero()
+
+
 # --- powers ------------------------------------------------------------------
 
 def test_powers_match_repeated_products():
@@ -724,8 +800,8 @@ def test_packed_where_row_and_column_bounds_differ():
 @pytest.mark.parametrize("m", [0, 1, 7, 64])
 def test_packed_reaches_the_coefficient_bound(m):
     """One-term entries of +-2^m: the determinant is a single term whose
-    coefficient is exactly the bound B, and its degree exactly the
-    degree bound."""
+    coefficient is exactly the Hadamard bound B (here equal to the l1
+    bound), and its degree exactly the degree bound."""
     a, b = AB.parameter("a"), AB.parameter("b")
     for sign in (1, -1):
         assert packed([[a * (sign << m)]]) == a * (sign << m)
@@ -736,6 +812,41 @@ def test_packed_reaches_the_coefficient_bound(m):
             rows[i][i] = x
         assert assert_packed_matches_oracles(rows) == \
             a ** 3 * b ** 2 * (-sign << 3 * m)
+
+
+def sylvester_hadamard(order):
+    """The +-1 Hadamard matrix of a power-of-two order, by Sylvester's
+    doubling [[H, H], [H, -H]]."""
+    rows = [[1]]
+    while len(rows) < order:
+        rows = ([row + row for row in rows]
+                + [row + [-x for x in row] for row in rows])
+    return rows
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_packed_reaches_the_hadamard_bound(order, monkeypatch):
+    """Entries +-t of a Hadamard matrix: the determinant +-n^(n/2) t^n
+    sits exactly on the Hadamard bound B = n^(n/2), the top of its
+    signed digit, and reads back.  At order 8 the digit width is
+    K = 14 (the l1 bound 8^8 would give K = 26), so t packs to
+    +-2^14."""
+    t = T.parameter("t")
+    signs = sylvester_hadamard(order)
+    rows = [[t * x for x in row] for row in signs]
+    value = determinant_minors(signs)
+    assert abs(value) == order ** (order // 2)
+    packed_rows = []
+    real = ring_module._bareiss_int
+
+    def spy(ints):
+        packed_rows.extend(list(row) for row in ints)
+        return real(ints)
+
+    monkeypatch.setattr(ring_module, "_bareiss_int", spy)
+    assert packed(rows) == t ** order * value
+    if order == 8:
+        assert packed_rows == [[x << 14 for x in row] for row in signs]
 
 
 def test_packed_declines_past_the_cap_and_mixed_entries():
