@@ -143,6 +143,10 @@ def _parse_coeff_spec(spec: str):
         if not eq:
             raise ValueError(f"expected name=value, got {entry!r}")
         lam = _partition_from_name(name)
+        if lam in coeffs:
+            raise ValueError(
+                f"coefficient of partition {lam} given more than once "
+                f"(again as {entry!r})")
         try:
             coeffs[lam] = parse_int(value)
         except ValueError:

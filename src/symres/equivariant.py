@@ -210,13 +210,6 @@ class AveragingReport:
     averaged: Optional[Coefficient]
 
 
-def _scalar_quotient(p: Polynomial, k: int) -> Polynomial:
-    divisor = p.ring.constant(k)
-    return Polynomial(p.ring, p.ambient, p.degree,
-                      {exp: c.exact_div(divisor)
-                       for exp, c in p.terms.items()})
-
-
 def averaged_chain_resultant(system: EquivariantSystem,
                              lam) -> AveragingReport:
     """Resultant of the symmetrized specialized system for one partition.
@@ -256,7 +249,8 @@ def averaged_chain_resultant(system: EquivariantSystem,
             f"constant {constant} does not relate the two resultants")
     averaged = None
     try:
-        scaled = [_scalar_quotient(p, comb(l, k))
+        scaled = [p.exact_div(Polynomial.constant(p.ring, p.ambient,
+                                                  comb(l, k)))
                   for k, p in enumerate(summed_polys, start=1)]
     except NotDivisibleError:
         pass

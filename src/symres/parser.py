@@ -9,8 +9,10 @@ the grammar accepts, so parse(print(p)) == p.
 
 Expressions are evaluated in Z[x1..xn, params] as ``Coefficient``s of
 one joint ring, so the parser has no arithmetic of its own and ^ is
-the ring's square-and-multiply power (0^0 = 1).  Only the value is
-split back into a ``Polynomial`` and checked for homogeneity.
+the ring's square-and-multiply power (0^0 = 1).  Each line's value is
+checked once, for homogeneity and its declared degree, from the main
+exponents of its joint terms, and ``ring.split_joint`` then builds its
+``Polynomial`` without checking the terms again.
 
 Each distinct parenthesised group and product term is evaluated once
 per call: a memo keyed by its source text lasts one
@@ -246,6 +248,8 @@ def parse_poly(text: str, ambient: int, ring: ParameterRing,
     ``degree`` fixes the expected degree (required to make sense of a
     zero polynomial); when omitted it is inferred from the terms.
     """
+    if ambient < 1:
+        raise ValueError("ambient must be at least 1")
     return _parse_poly(text, ambient, ring, degree, _atoms(ambient, ring), {})
 
 
@@ -253,8 +257,7 @@ def _parse_poly(text: str, ambient: int, ring: ParameterRing,
                 degree: Optional[int], atoms: Tuple[Coefficient, ...],
                 memo: Dict[str, Coefficient]) -> Polynomial:
     value = _Parser(text, ambient, ring, atoms, memo).parse()
-    terms = split_joint(value, ambient, ring)
-    degrees = {sum(mexp) for mexp in terms}
+    degrees = {sum(exp[:ambient]) for exp in value.terms}
     if len(degrees) > 1:
         listed = ", ".join(map(format_int, sorted(degrees)))
         raise ParseError(f"inhomogeneous input: term degrees [{listed}]", 0)
@@ -264,7 +267,7 @@ def _parse_poly(text: str, ambient: int, ring: ParameterRing,
         raise ParseError(
             f"degree {format_int(degrees.pop())} does not match declared "
             f"degree {format_int(degree)}", 0)
-    return Polynomial(ring, ambient, degree, terms)
+    return split_joint(value, ambient, ring, degree)
 
 
 def parse_coefficient(text: str, ring: ParameterRing) -> Coefficient:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import random
 from math import prod
+from operator import add
 from typing import List, Sequence
 
 from symres.ring import (
@@ -49,7 +50,6 @@ from symres.ring import (
     ParameterRing,
     Polynomial,
     determinant,
-    monomial_mul,
 )
 
 MAX_UNIMODULAR_RETRIES = 5
@@ -102,7 +102,7 @@ def macaulay_data(polys: Sequence[Polynomial]):
         shift = tuple(e - (degrees[i] if j == i else 0)
                       for j, e in enumerate(beta))
         for exp, coeff in polys[i].terms.items():
-            rows[pos[monomial_mul(shift, exp)]][c] = coeff
+            rows[pos[tuple(map(add, shift, exp))]][c] = coeff
     dod = [r for r, m in enumerate(mons) if is_dod(m, degrees)]
     return rows, mons, dod
 

@@ -12,6 +12,8 @@ Both layers store their terms as ``{exponent tuple: coefficient}`` dicts
 and share one term kernel, ``_add``, ``_mul`` and ``_divide``; both are
 true exactly when nonzero, and their arithmetic results skip the checks
 of public construction through the private ``_trusted`` constructors.
+So do ``substitute``, which computes each power of an image once per
+call, and ``split_joint``, which builds the parser's checked lines.
 The term order is plain lexicographic on the exponent tuples; every
 Polynomial is homogeneous, so on its terms lex equals graded lex.  Exact
 division follows the leading-term division algorithm, which succeeds if
@@ -171,22 +173,18 @@ def _divide(a, b) -> dict:
     return quo
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _power(one, base, n: int):
-    """base ** n by square-and-multiply, starting from ``one``."""
+    """base ** n by square-and-multiply; ``one`` when n is 0."""
     if n < 0:
         raise ValueError("negative power")
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 @dataclass(frozen=True)
@@ -446,14 +444,6 @@ class Polynomial:
         exp = max(self.terms)
         return exp, self.terms[exp]
 
-    def variables_used(self) -> Tuple[int, ...]:
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        return tuple(sorted(used))
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial") -> None:
@@ -524,44 +514,42 @@ class Polynomial:
 
     # -- structural operations --------------------------------------------
 
-    def substitute(self, assignment: Mapping[int, object]):
+    def substitute(self, assignment: Mapping[int, "Polynomial"]):
         """Compose with the given variable images.
 
-        ``assignment`` maps 0-based variable indices to either all
-        integers (the result is then a Coefficient) or all Polynomials of
-        one common ambient, ring and degree (the result is then again a
-        homogeneous Polynomial).  Every variable occurring in self must
-        be assigned.
+        ``assignment`` maps 0-based variable indices to Polynomials of
+        one common ambient, ring and degree g; the result is the
+        homogeneous Polynomial of degree g * self.degree in their
+        ambient.  Each power of an image is computed once per call.
+        Raises ValueError for an empty assignment and for a variable of
+        self with no image.
         """
-        occurring = set(self.variables_used())
-        missing = occurring - set(assignment)
-        if missing:
-            raise ValueError(f"no image for variable indices {sorted(missing)}")
-        values = list(assignment.values())
-        if all(isinstance(v, int) for v in values):
-            total = self.ring.zero()
-            for exp, coeff in self.terms.items():
-                scale = 1
-                for i, e in enumerate(exp):
-                    if e:
-                        scale *= assignment[i] ** e
-                total = total + coeff * scale
-            return total
-        if not all(isinstance(v, Polynomial) for v in values):
-            raise ValueError("images must be all integers or all Polynomials")
-        first = values[0]
-        if any(v.ambient != first.ambient or v.ring != first.ring
-               or v.degree != first.degree for v in values):
-            raise ValueError("images must share ambient, ring and degree")
-        g = first.degree
-        acc = Polynomial.zero(first.ring, first.ambient, g * self.degree)
+        images = list(assignment.values())
+        first = images[0] if images else None
+        if not images or any(
+                not isinstance(v, Polynomial) or v.ambient != first.ambient
+                or v.ring != first.ring or v.degree != first.degree
+                for v in images):
+            raise ValueError("need one or more Polynomial images of one "
+                             "ambient, ring and degree")
+        powers: Dict[Tuple[int, int], Polynomial] = {}
+        terms: Dict[Monomial, Coefficient] = {}
         for exp, coeff in self.terms.items():
-            part = Polynomial.constant(first.ring, first.ambient, coeff)
+            part = None
             for i, e in enumerate(exp):
                 if e:
-                    part = part * assignment[i] ** e
-            acc = acc + part
-        return acc
+                    power = powers.get((i, e))
+                    if power is None:
+                        if i not in assignment:
+                            raise ValueError(
+                                f"no image for variable index {i}")
+                        power = powers[i, e] = assignment[i] ** e
+                    part = power if part is None else part * power
+            if part is None:  # the one term of a constant self
+                part = Polynomial.constant(first.ring, first.ambient, 1)
+            terms = _add(terms, (part * coeff).terms)
+        return Polynomial._trusted(first.ring, first.ambient,
+                                   first.degree * self.degree, terms)
 
     def permute(self, sigma: Sequence[int]):
         """Apply a variable permutation: x_i is replaced by x_{sigma(i)}."""
@@ -584,13 +572,16 @@ class Polynomial:
             if e:
                 key = exp[:i] + (e - 1,) + exp[i + 1:]
                 out[key] = c * e
-        return Polynomial(self.ring, self.ambient, max(self.degree - 1, 0),
-                          out)
+        return Polynomial._trusted(self.ring, self.ambient,
+                                   max(self.degree - 1, 0), out)
 
     def evaluate(self, point: Sequence[int]) -> Coefficient:
+        """The value at an integer point, by ``substitute``."""
         if len(point) != self.ambient:
             raise ValueError("point length must equal the ambient")
-        return self.substitute({i: int(v) for i, v in enumerate(point)})
+        return self.substitute(
+            {i: Polynomial.constant(self.ring, 1, int(v))
+             for i, v in enumerate(point)}).as_coefficient()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -611,17 +602,19 @@ class Polynomial:
         return f"Polynomial<n={self.ambient}, d={self.degree}, {items or '0'}>"
 
 
-def split_joint(value: Coefficient, ambient: int,
-                ring: ParameterRing) -> Dict[Monomial, Coefficient]:
-    """``{main exponent: Coefficient over ring}`` of a ``value`` in the
-    joint ring Z[x1..x_ambient, params], whose exponent tuples hold the
-    ``ambient`` main exponents first.  The kernel's terms are already
-    clean, so the pieces skip the checks of public construction."""
+def split_joint(value: Coefficient, ambient: int, ring: ParameterRing,
+                degree: int) -> Polynomial:
+    """The Polynomial over ``ring`` that ``value`` is in the joint ring
+    Z[x1..x_ambient, params], whose exponent tuples hold the ``ambient``
+    main exponents first.  Nothing is checked: the caller has checked
+    that every term has main degree ``degree``."""
     pieces: Dict[Monomial, Dict[Monomial, int]] = {}
     for exp, c in value.terms.items():
         pieces.setdefault(exp[:ambient], {})[exp[ambient:]] = c
-    return {mexp: Coefficient._trusted(ring, terms)
-            for mexp, terms in pieces.items()}
+    return Polynomial._trusted(
+        ring, ambient, degree,
+        {mexp: Coefficient._trusted(ring, terms)
+         for mexp, terms in pieces.items()})
 
 
 def _as_rows(m) -> list:

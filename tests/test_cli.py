@@ -296,6 +296,20 @@ class TestDiscriminant:
         assert cli.main(["discriminant", "--n", "3", "--d", "3",
                          "--coeffs", "c[2=1"]) == 2
 
+    def test_repeated_partition_exits_two(self, capsys):
+        assert cli.main(["discriminant", "--n", "3", "--d", "2",
+                         "--coeffs", "c2=1, c2=5, c11=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "partition (2) given more than once" in captured.err
+
+    def test_repeated_partition_under_another_name_exits_two(self, capsys):
+        for spec in ("c11=1, c2=5, c_1_1=1", "c[1,1]=1 c2=5 c11=1"):
+            assert cli.main(["discriminant", "--n", "3", "--d", "2",
+                             "--coeffs", spec]) == 2
+            assert "partition (1,1) given more than once" in \
+                capsys.readouterr().err
+
     def test_oversized_part_exits_two(self, capsys):
         assert cli.main(["discriminant", "--n", "2", "--d", "3",
                          "--coeffs", "c3=1"]) == 2

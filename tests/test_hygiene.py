@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never
-uses, no module- or class-level definition goes unreferenced, and
+uses, no module- or class-level definition goes unreferenced,
 polynomial arithmetic and its unchecked ``_trusted`` constructors live
-in ``ring.py`` alone."""
+in ``ring.py`` alone, and every symres name the benchmark's tracer
+wraps still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -211,3 +213,74 @@ def test_detects_a_trusted_use():
                      "make = Polynomial._trusted\n"
                      "def _trusted(): pass\n")
     assert trusted_uses(tree) == [1, 3]
+
+
+TRACE_TABLES = ("FUNCTIONS", "METHODS", "LEAVES")
+
+
+def trace_targets(tree):
+    """The symres names of the trace tables, read from their literals:
+    (module, attribute) for ``FUNCTIONS`` and (module, class, method)
+    for ``METHODS`` and for each method of a ``LEAVES`` entry."""
+    out = []
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in TRACE_TABLES):
+            continue
+        table = node.targets[0].id
+        for entry in node.value.elts:
+            fields = entry.elts
+            if table == "FUNCTIONS":
+                out.append((fields[0].value, fields[1].value))
+            elif table == "METHODS":
+                out.append(tuple(f.value for f in fields[:3]))
+            else:
+                out.extend((fields[0].value, fields[1].value, m.value)
+                           for m in fields[2].elts)
+    return out
+
+
+def unresolved(targets):
+    """Dotted names of the targets that no longer resolve; a method must
+    be defined on the class itself, as the tracer reads ``vars(cls)``."""
+    missing = []
+    for target in targets:
+        try:
+            owner = getattr(importlib.import_module(target[0]), target[1])
+        except (ImportError, AttributeError):
+            missing.append(".".join(target))
+            continue
+        if len(target) == 3 and target[2] not in vars(owner):
+            missing.append(".".join(target))
+    return missing
+
+
+def test_traced_names_resolve():
+    path = ROOT / "bench" / "spans.py"
+    targets = trace_targets(ast.parse(path.read_text(), str(path)))
+    assert {len(t) for t in targets} == {2, 3}
+    missing = unresolved(targets)
+    assert not missing, f"bench/spans.py traces missing names: {missing}"
+
+
+def test_detects_an_unresolved_trace_target():
+    tree = ast.parse(
+        "FUNCTIONS = (('symres.ring', 'determinant', 'ring.det', attrs),\n"
+        "             ('symres.ring', 'gone', 'ring.gone', None))\n"
+        "METHODS = (('symres.ring', 'Coefficient', '__pow__', 'p', None),\n"
+        "           ('symres.ring', 'Polynomial', 'gone', 'q', None))\n"
+        "LEAVES = (('symres.ring', 'Coefficient', ('__mul__', 'gone'), 'm'),\n"
+        "          ('symres.absent', 'Coefficient', ('__mul__',), 'n'))\n"
+        "OTHER = (('symres.ring', 'gone'),)\n")
+    targets = trace_targets(tree)
+    assert targets == [
+        ("symres.ring", "determinant"), ("symres.ring", "gone"),
+        ("symres.ring", "Coefficient", "__pow__"),
+        ("symres.ring", "Polynomial", "gone"),
+        ("symres.ring", "Coefficient", "__mul__"),
+        ("symres.ring", "Coefficient", "gone"),
+        ("symres.absent", "Coefficient", "__mul__")]
+    assert unresolved(targets) == [
+        "symres.ring.gone", "symres.ring.Polynomial.gone",
+        "symres.ring.Coefficient.gone", "symres.absent.Coefficient.__mul__"]

@@ -113,6 +113,12 @@ def test_parse_error_offset():
         raise AssertionError("expected ParseError")
 
 
+def test_parse_poly_needs_a_variable():
+    for ambient in (0, -1):
+        with pytest.raises(ValueError, match="ambient must be at least 1"):
+            parse_poly("5", ambient, AB)
+
+
 def test_unary_minus_forms():
     p = parse_poly("-x1 + x2", 2, ParameterRing(), degree=1)
     assert p.coefficient_of((1, 0)) == -1

@@ -162,13 +162,17 @@ def test_split_joint_pieces_are_clean(params):
     ring = ParameterRing(params)
     joint = ParameterRing(("x_1", "x_2", "x_3") + params)
     for _ in range(30):
-        value = random_coefficient(rng, joint, max_degree=4, n_terms=6)
-        pieces = split_joint(value, 3, ring)
-        for mexp, c in pieces.items():
-            assert len(mexp) == 3 and c.ring == ring
-            assert_clean(c)
-        assert {mexp + pexp: v for mexp, c in pieces.items()
-                for pexp, v in c.terms.items()} == value.terms
+        degree = rng.randint(0, 4)
+        shape = random_polynomial(rng, ring, 3, degree, n_terms=4)
+        pieces = {mexp: random_coefficient(rng, ring, max_degree=3)
+                  for mexp in shape.terms}
+        value = Coefficient(joint, {mexp + pexp: v
+                                    for mexp, c in pieces.items()
+                                    for pexp, v in c.terms.items()})
+        got = split_joint(value, 3, ring, degree)
+        assert (got.ring, got.ambient, got.degree) == (ring, 3, degree)
+        assert got == Polynomial(ring, 3, degree, pieces)
+        assert_clean_polynomial(got)
 
 
 def test_public_construction_still_checks():
@@ -281,7 +285,7 @@ def test_polynomial_results_are_clean(params):
         for p in results:
             assert_clean_polynomial(p)
         assert not (x * 0).terms and not (x * ring.zero()).terms
-        assert_clean(x.substitute({i: rng.randint(-3, 3) for i in range(n)}))
+        assert_clean(x.evaluate([rng.randint(-3, 3) for _ in range(n)]))
 
 
 def test_public_polynomial_construction_still_checks():
@@ -319,9 +323,67 @@ def test_substitute_integer_point():
     a = ring.parameter("a")
     b = ring.parameter("b")
     p = Polynomial(ring, 2, 2, {(2, 0): a, (1, 1): b})
-    val = p.substitute({0: 2, 1: -3})
+    val = p.evaluate([2, -3])
     assert val == a * 4 - b * 6
     assert p.evaluate([1, 1]) == a + b
+
+
+def naive_substitute(p: Polynomial, images) -> Polynomial:
+    """Term by term, each image power by repeated multiplication."""
+    first = images[0]
+    acc = Polynomial.zero(first.ring, first.ambient, first.degree * p.degree)
+    for exp, c in p.terms.items():
+        part = Polynomial.constant(first.ring, first.ambient, c)
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                part = part * images[i]
+        acc = acc + part
+    return acc
+
+
+@pytest.mark.parametrize("params", [(), ("a",)])
+@pytest.mark.parametrize("image_degree", [1, 2])
+def test_substitute_matches_naive_expansion(params, image_degree):
+    rng = random.Random(43 + 3 * len(params) + image_degree)
+    ring = ParameterRing(params)
+    for trial in range(25):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        degree = rng.randint(0, 3)
+        p = Polynomial(ring, n, degree, {
+            exp: random_coefficient(rng, ring)
+            for exp in random_polynomial(rng, ring, n, degree, 5).terms})
+        if trial == 0:
+            p = Polynomial.zero(ring, n, degree)
+        images = [random_polynomial(rng, ring, m, image_degree, n_terms=3)
+                  * random_coefficient(rng, ring, n_terms=2)
+                  for _ in range(n)]
+        got = p.substitute(dict(enumerate(images)))
+        assert got == naive_substitute(p, images)
+        assert (got.ring, got.ambient) == (ring, m)
+        assert got.degree == image_degree * degree
+        assert_clean_polynomial(got)
+
+
+def test_substitute_computes_each_power_once(monkeypatch):
+    ring = ParameterRing(("a",))
+    xs = [Polynomial.variable(ring, 3, i) for i in range(3)]
+    e1 = xs[0] + xs[1] + xs[2]
+    p = e1 ** 4 * ring.parameter("a") + xs[0] ** 2 * xs[1] ** 2
+    images = {i: x + xs[(i + 1) % 3] * 2 for i, x in enumerate(xs)}
+    want = naive_substitute(p, images)
+    calls = []
+    original = Polynomial.__pow__
+
+    def spy(self, n):
+        calls.append((self, n))
+        return original(self, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", spy)
+    assert p.substitute(images) == want
+    pairs = {(i, e) for exp in p.terms for i, e in enumerate(exp) if e}
+    assert len(calls) == len(pairs)
+    assert {(i, n) for i, image in images.items()
+            for base, n in calls if base is image} == pairs
 
 
 def test_substitute_errors():
@@ -330,6 +392,8 @@ def test_substitute_errors():
     y1 = Polynomial.variable(ring, 2, 0)
     with pytest.raises(ValueError):
         p.substitute({0: y1})  # x2 has no image
+    with pytest.raises(ValueError):
+        Polynomial.constant(ring, 2, 5).substitute({})  # no image at all
     with pytest.raises(ValueError):
         p.substitute({0: y1, 1: 3})  # mixed image kinds
     y_sq = y1 * y1
