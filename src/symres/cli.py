@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, List, Tuple
 
@@ -262,7 +263,10 @@ def _cmd_selfcheck(args) -> int:
     return 1 if failed else 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="symres",
         description="Exact resultants of equivariant systems and "

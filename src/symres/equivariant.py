@@ -80,14 +80,8 @@ def rho_lambda(p: Polynomial, lam) -> Polynomial:
     if p.ambient != lam.n:
         raise ValueError(
             f"ambient {p.ambient} does not match partition of {lam.n}")
-    leads = block_leads(lam)
-    blocks = tuple(zip(leads, leads[1:] + (lam.n,)))
-    terms = {}
-    for exp, c in p.terms.items():
-        key = tuple(sum(exp[start:stop]) for start, stop in blocks)
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
-    return Polynomial(p.ring, lam.length, p.degree, terms)
+    return p.relabel([j for j, part in enumerate(lam) for _ in range(part)],
+                     lam.length)
 
 
 @dataclass(frozen=True)

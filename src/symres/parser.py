@@ -324,8 +324,9 @@ def print_poly(p: Polynomial) -> str:
         return "0"
     names = [f"x{i + 1}" for i in range(p.ambient)]
     parts: List[Tuple[int, str]] = []
-    for exp in sorted(p.terms, reverse=True):
-        coeff = p.terms[exp]
+    terms = p.terms
+    for exp in sorted(terms, reverse=True):
+        coeff = terms[exp]
         mon = "*".join(_format_power(names[i], e)
                        for i, e in enumerate(exp) if e)
         pieces = _coefficient_pieces(coeff)

@@ -97,11 +97,12 @@ def macaulay_data(polys: Sequence[Polynomial]):
     zero = ring.zero()
     size = len(mons)
     rows = [[zero] * size for _ in range(size)]
+    terms = [p.terms for p in polys]
     for c, beta in enumerate(mons):
         i = index_function(beta, degrees)
         shift = tuple(e - (degrees[i] if j == i else 0)
                       for j, e in enumerate(beta))
-        for exp, coeff in polys[i].terms.items():
+        for exp, coeff in terms[i].items():
             rows[pos[tuple(map(add, shift, exp))]][c] = coeff
     dod = [r for r, m in enumerate(mons) if is_dod(m, degrees)]
     return rows, mons, dod
@@ -126,8 +127,9 @@ def _fingerprint(polys: Sequence[Polynomial]) -> bytes:
     parts = []
     for p in polys:
         parts.append(f"deg {p.degree}")
-        for exp in sorted(p.terms):
-            c = p.terms[exp]
+        terms = p.terms
+        for exp in sorted(terms):
+            c = terms[exp]
             body = ";".join(f"{pe}:{v}" for pe, v in sorted(c.terms.items()))
             parts.append(f"{exp}|{body}")
     return "\n".join(parts).encode()

@@ -4,16 +4,28 @@ Everything here is integer-exact.  Two layers:
 
   * ``Coefficient``: an element of Z[p1, ..., pk] where the p's are the
     parameter symbols of a ``ParameterRing``.  Integer systems use the
-    empty ring, so a Coefficient degenerates to a plain integer constant.
+    empty ring Z, where a Coefficient is one constant term.
   * ``Polynomial``: a homogeneous polynomial in ``ambient`` main variables
-    (printed x1..xn) whose coefficients are Coefficients.
+    (printed x1..xn) over Z[params].
 
 Both layers store their terms as ``{exponent tuple: coefficient}`` dicts
-and share one term kernel, ``_add``, ``_mul`` and ``_divide``; both are
-true exactly when nonzero, and their arithmetic results skip the checks
-of public construction through the private ``_trusted`` constructors.
-So do ``substitute``, which computes each power of an image once per
-call, and ``split_joint``, which builds the parser's checked lines.
+and share one term kernel, ``_accumulate``, ``_add``, ``_mul`` and
+``_divide``; both are true exactly when nonzero, and their arithmetic
+results skip the checks of public construction through the private
+``_trusted`` constructors.  So do ``substitute``, which computes each
+power of an image once per call, ``relabel``, which serves ``permute``
+and the blockwise collapse of the decomposition, and ``split_joint``,
+which builds the parser's checked lines.
+
+Storage rule: a Polynomial keeps its coefficients privately, in
+``_terms``, as elements of its ring: a plain ``int`` over Z and a
+``Coefficient`` over Z[params] with parameters.  The kernel runs on
+either, so integer systems pay an int operation, not a Coefficient
+method call, per coefficient product.  Outside this module everything
+stays a Coefficient: ``Polynomial.terms`` is a read-only Coefficient
+view (built on access over Z), the accessors and ``determinant``
+return Coefficients, and public construction takes ints and
+Coefficients alike.
 The term order is plain lexicographic on the exponent tuples; every
 Polynomial is homogeneous, so on its terms lex equals graded lex.  Exact
 division follows the leading-term division algorithm, which succeeds if
@@ -48,6 +60,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 from operator import add, sub
+from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Monomial = Tuple[int, ...]
@@ -107,12 +120,13 @@ def _exact(a, b):
 
 
 # -- the term kernel: {exponent tuple: nonzero coefficient} dicts, with int
-# coefficients for a Coefficient and Coefficients for a Polynomial.  A
-# product of nonzero coefficients is nonzero, so only sums are tested.
+# coefficients for a Coefficient and for a Polynomial over Z, Coefficients
+# for a Polynomial over Z[params].  A product of nonzero coefficients is
+# nonzero, so only sums are tested.
 
-def _add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for exp, c in b.items():
+def _accumulate(out: dict, items) -> dict:
+    """Add each (exponent, coefficient) pair of ``items`` into ``out``."""
+    for exp, c in items:
         v = out.get(exp)
         if v is None:
             out[exp] = c
@@ -123,6 +137,10 @@ def _add(a: dict, b: dict) -> dict:
             else:
                 del out[exp]
     return out
+
+
+def _add(a: dict, b: dict) -> dict:
+    return _accumulate(dict(a), b.items())
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -142,34 +160,31 @@ def _mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _divide(a, b) -> dict:
-    """The terms of a/b, for Coefficients or Polynomials a and b != 0, by
-    leading-term division under lex order; raises NotDivisibleError
-    naming both when b does not divide a."""
-    bexp = max(b.terms)
-    bcoef = b.terms[bexp]
-    rem = dict(a.terms)
+def _divide(a: dict, b: dict) -> dict:
+    """The terms of a/b for term dicts a and b != {}, by leading-term
+    division under lex order; raises NotDivisibleError when b does not
+    divide a."""
+    bexp = max(b)
+    bcoef = b[bexp]
+    rem = dict(a)
     quo = {}
-    try:
-        while rem:
-            rexp = max(rem)
-            qexp = tuple(map(sub, rexp, bexp))
-            if any(x < 0 for x in qexp):
-                raise NotDivisibleError
-            qcoef = quo[qexp] = _exact(rem[rexp], bcoef)
-            for exp, c in b.terms.items():
-                key = tuple(map(add, qexp, exp))
-                v = rem.get(key)
-                if v is None:
-                    rem[key] = -(qcoef * c)
+    while rem:
+        rexp = max(rem)
+        qexp = tuple(map(sub, rexp, bexp))
+        if any(x < 0 for x in qexp):
+            raise NotDivisibleError
+        qcoef = quo[qexp] = _exact(rem[rexp], bcoef)
+        for exp, c in b.items():
+            key = tuple(map(add, qexp, exp))
+            v = rem.get(key)
+            if v is None:
+                rem[key] = -(qcoef * c)
+            else:
+                v = v - qcoef * c
+                if v:
+                    rem[key] = v
                 else:
-                    v = v - qcoef * c
-                    if v:
-                        rem[key] = v
-                    else:
-                        del rem[key]
-    except NotDivisibleError:
-        raise NotDivisibleError(f"{b!r} does not divide {a!r}") from None
+                    del rem[key]
     return quo
 
 
@@ -278,7 +293,7 @@ class Coefficient:
 
     def _coerce(self, other) -> "Coefficient":
         if isinstance(other, Coefficient):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed parameter rings")
             return other
         if isinstance(other, int):
@@ -332,14 +347,19 @@ class Coefficient:
             raise TypeError("cannot divide by that")
         if not other:
             raise ZeroDivisionError("division by zero Coefficient")
-        return self._trusted(self.ring, _divide(self, other))
+        try:
+            return self._trusted(self.ring, _divide(self.terms, other.terms))
+        except NotDivisibleError:
+            raise NotDivisibleError(
+                f"{other!r} does not divide {self!r}") from None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.terms == self.ring.constant(other).terms
         if not isinstance(other, Coefficient):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) \
+            and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
@@ -353,26 +373,41 @@ class Coefficient:
 CoefficientLike = Union[Coefficient, int]
 
 
+def _element(ring: ParameterRing, value: CoefficientLike):
+    """``value`` as a stored Polynomial coefficient of ``ring``: an int
+    over Z, a Coefficient over Z[params]."""
+    if isinstance(value, Coefficient):
+        if value.ring is not ring and value.ring != ring:
+            raise ValueError("coefficient from a different parameter ring")
+        return value if ring.params else value.terms.get((), 0)
+    if not isinstance(value, int):
+        raise TypeError(f"coefficient must be an int or a Coefficient, "
+                        f"not {type(value).__name__}")
+    return ring.constant(value) if ring.params else value
+
+
 class Polynomial:
     """Homogeneous polynomial in ``ambient`` main variables over Z[params].
 
-    ``terms`` maps main-variable exponent tuples to Coefficients; every
-    stored exponent tuple sums to ``degree``.  The zero polynomial has no
-    terms and carries a nominal degree that comparisons ignore.
+    ``terms`` is a read-only view mapping main-variable exponent tuples
+    to Coefficients; every exponent tuple sums to ``degree``.  The
+    coefficients are stored in ``_terms`` as elements of the ring:
+    plain ints over Z, so integer arithmetic builds no Coefficient, and
+    Coefficients over Z[params].  Over Z the view is built on each
+    access, so a reader that looks at many terms binds it once.  The
+    zero polynomial has no terms and carries a nominal degree that
+    comparisons ignore.
     """
 
-    __slots__ = ("ring", "ambient", "degree", "terms")
+    __slots__ = ("ring", "ambient", "degree", "_terms")
 
     def __init__(self, ring: ParameterRing, ambient: int, degree: int,
                  terms: Mapping[Monomial, CoefficientLike]):
         if ambient < 1:
             raise ValueError("ambient must be at least 1")
-        clean: Dict[Monomial, Coefficient] = {}
+        clean = {}
         for exp, c in terms.items():
-            if isinstance(c, int):
-                c = ring.constant(c)
-            elif c.ring != ring:
-                raise ValueError("coefficient from a different parameter ring")
+            c = _element(ring, c)
             if not c:
                 continue
             if len(exp) != ambient or any(e < 0 for e in exp):
@@ -386,16 +421,30 @@ class Polynomial:
         self.ring = ring
         self.ambient = ambient
         self.degree = degree
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
     def _trusted(cls, ring: ParameterRing, ambient: int, degree: int,
-                 terms: Dict[Monomial, Coefficient]):
+                 terms: dict):
         """Wrap ``terms`` unchecked; arithmetic results are already clean."""
         out = object.__new__(cls)
-        out.ring, out.ambient, out.degree, out.terms = \
+        out.ring, out.ambient, out.degree, out._terms = \
             ring, ambient, degree, terms
         return out
+
+    @property
+    def terms(self) -> Mapping[Monomial, Coefficient]:
+        """Read-only view: exponent tuple -> nonzero Coefficient."""
+        if self.ring.params:
+            return MappingProxyType(self._terms)
+        return MappingProxyType({e: self._coefficient(c)
+                                 for e, c in self._terms.items()})
+
+    def _coefficient(self, c) -> Coefficient:
+        """A stored coefficient, or 0 for a missing one, as a Coefficient."""
+        if isinstance(c, Coefficient):
+            return c
+        return Coefficient._trusted(self.ring, {(): c} if c else {})
 
     # -- constructors ----------------------------------------------------
 
@@ -424,13 +473,13 @@ class Polynomial:
     # -- predicates ------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def coefficient_of(self, exponents: Monomial) -> Coefficient:
-        return self.terms.get(tuple(exponents), self.ring.zero())
+        return self._coefficient(self._terms.get(tuple(exponents), 0))
 
     def as_coefficient(self) -> Coefficient:
         """Extract the Coefficient of a degree-0 polynomial."""
@@ -438,16 +487,16 @@ class Polynomial:
             return self.ring.zero()
         if self.degree != 0:
             raise ValueError(f"degree {self.degree} polynomial is not a scalar")
-        return self.terms[(0,) * self.ambient]
+        return self._coefficient(self._terms[(0,) * self.ambient])
 
     def leading_term(self) -> Tuple[Monomial, Coefficient]:
-        exp = max(self.terms)
-        return exp, self.terms[exp]
+        exp = max(self._terms)
+        return exp, self._coefficient(self._terms[exp])
 
     # -- arithmetic ------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed parameter rings")
         if self.ambient != other.ambient:
             raise ValueError(
@@ -464,13 +513,13 @@ class Polynomial:
                 f"degree mismatch: {self.degree} vs {other.degree}")
         degree = self.degree if self else other.degree
         return Polynomial._trusted(self.ring, self.ambient, degree,
-                                   _add(self.terms, other.terms))
+                                   _add(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
         return Polynomial._trusted(self.ring, self.ambient, self.degree,
-                                   {e: -c for e, c in self.terms.items()})
+                                   {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int) and other == 0:
@@ -480,8 +529,10 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        if isinstance(other, Coefficient):
+            other = _element(self.ring, other)
         if isinstance(other, (int, Coefficient)):
-            scaled = {e: c * other for e, c in self.terms.items()}
+            scaled = {e: c * other for e, c in self._terms.items()}
             return Polynomial._trusted(self.ring, self.ambient, self.degree,
                                        scaled if other else {})
         if not isinstance(other, Polynomial):
@@ -489,7 +540,7 @@ class Polynomial:
         self._check_compatible(other)
         return Polynomial._trusted(self.ring, self.ambient,
                                    self.degree + other.degree,
-                                   _mul(self.terms, other.terms))
+                                   _mul(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -508,33 +559,39 @@ class Polynomial:
         self._check_compatible(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
+        try:
+            terms = _divide(self._terms, other._terms)
+        except NotDivisibleError:
+            raise NotDivisibleError(
+                f"{other!r} does not divide {self!r}") from None
         return Polynomial._trusted(self.ring, self.ambient,
-                                   self.degree - other.degree,
-                                   _divide(self, other))
+                                   self.degree - other.degree, terms)
 
     # -- structural operations --------------------------------------------
 
     def substitute(self, assignment: Mapping[int, "Polynomial"]):
         """Compose with the given variable images.
 
-        ``assignment`` maps 0-based variable indices to Polynomials of
-        one common ambient, ring and degree g; the result is the
-        homogeneous Polynomial of degree g * self.degree in their
-        ambient.  Each power of an image is computed once per call.
-        Raises ValueError for an empty assignment and for a variable of
-        self with no image.
+        ``assignment`` maps 0-based variable indices to Polynomials over
+        self's ring of one common ambient and degree g; the result is
+        the homogeneous Polynomial of degree g * self.degree in their
+        ambient.  Each power of an image is computed once per call, and
+        the terms are summed into one dict.  Raises ValueError for an
+        empty assignment and for a variable of self with no image.
         """
+        ring = self.ring
         images = list(assignment.values())
         first = images[0] if images else None
         if not images or any(
                 not isinstance(v, Polynomial) or v.ambient != first.ambient
-                or v.ring != first.ring or v.degree != first.degree
+                or v.degree != first.degree
+                or v.ring is not ring and v.ring != ring
                 for v in images):
             raise ValueError("need one or more Polynomial images of one "
-                             "ambient, ring and degree")
+                             "ambient and degree over the same ring")
         powers: Dict[Tuple[int, int], Polynomial] = {}
-        terms: Dict[Monomial, Coefficient] = {}
-        for exp, coeff in self.terms.items():
+        terms: dict = {}
+        for exp, coeff in self._terms.items():
             part = None
             for i, e in enumerate(exp):
                 if e:
@@ -546,28 +603,44 @@ class Polynomial:
                         power = powers[i, e] = assignment[i] ** e
                     part = power if part is None else part * power
             if part is None:  # the one term of a constant self
-                part = Polynomial.constant(first.ring, first.ambient, 1)
-            terms = _add(terms, (part * coeff).terms)
-        return Polynomial._trusted(first.ring, first.ambient,
+                part = Polynomial.constant(ring, first.ambient, 1)
+            _accumulate(terms, ((e, c * coeff)
+                                for e, c in part._terms.items()))
+        return Polynomial._trusted(ring, first.ambient,
                                    first.degree * self.degree, terms)
+
+    def relabel(self, target: Sequence[int], ambient: int):
+        """x_i replaced by y_{target[i]}, in ``ambient`` variables y.
+
+        Terms that land on one monomial are added, so a map that sends
+        several variables to one y collapses them.
+        """
+        if len(target) != self.ambient or any(
+                not 0 <= t < ambient for t in target):
+            raise ValueError(
+                f"not a map of {self.ambient} variables into {ambient}: "
+                f"{target!r}")
+        images = []
+        for exp, c in self._terms.items():
+            img = [0] * ambient
+            for t, e in zip(target, exp):
+                if e:
+                    img[t] += e
+            images.append((tuple(img), c))
+        terms = _accumulate({}, images)
+        return Polynomial._trusted(self.ring, ambient, self.degree, terms)
 
     def permute(self, sigma: Sequence[int]):
         """Apply a variable permutation: x_i is replaced by x_{sigma(i)}."""
         if sorted(sigma) != list(range(self.ambient)):
             raise ValueError(f"not a permutation of the ambient: {sigma!r}")
-        out: Dict[Monomial, Coefficient] = {}
-        for exp, c in self.terms.items():
-            img = [0] * self.ambient
-            for i, e in enumerate(exp):
-                img[sigma[i]] = e
-            out[tuple(img)] = c
-        return Polynomial._trusted(self.ring, self.ambient, self.degree, out)
+        return self.relabel(sigma, self.ambient)
 
     def derivative(self, i: int):
         if not 0 <= i < self.ambient:
             raise ValueError(f"variable index {i} out of range")
-        out: Dict[Monomial, Coefficient] = {}
-        for exp, c in self.terms.items():
+        out = {}
+        for exp, c in self._terms.items():
             e = exp[i]
             if e:
                 key = exp[:i] + (e - 1,) + exp[i + 1:]
@@ -586,14 +659,15 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.ring != other.ring or self.ambient != other.ambient:
+        if self.ring is not other.ring and self.ring != other.ring \
+                or self.ambient != other.ambient:
             return False
         # zero compares equal to zero regardless of nominal degree
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash((self.ring, self.ambient,
-                     tuple(sorted(self.terms.items()))))
+                     tuple(sorted(self._terms.items()))))
 
     def __repr__(self) -> str:
         items = ", ".join(
@@ -608,6 +682,8 @@ def split_joint(value: Coefficient, ambient: int, ring: ParameterRing,
     Z[x1..x_ambient, params], whose exponent tuples hold the ``ambient``
     main exponents first.  Nothing is checked: the caller has checked
     that every term has main degree ``degree``."""
+    if not ring.params:  # the exponent tuples are the main ones
+        return Polynomial._trusted(ring, ambient, degree, dict(value.terms))
     pieces: Dict[Monomial, Dict[Monomial, int]] = {}
     for exp, c in value.terms.items():
         pieces.setdefault(exp[:ambient], {})[exp[ambient:]] = c

@@ -345,3 +345,20 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "6/6 identities hold" in out
         assert "FAIL" not in out
+
+
+class TestParserReuse:
+    def test_bad_argument_after_a_good_call_still_exits_2(self, linear_file,
+                                                          capsys):
+        assert cli.main(["resultant", linear_file]) == 0
+        assert capsys.readouterr().err == ""
+        with pytest.raises(SystemExit) as info:
+            cli.main(["resultant", linear_file, "--format", "yaml"])
+        assert info.value.code == 2
+        second = capsys.readouterr()
+        assert second.out == ""
+        assert "invalid choice: 'yaml'" in second.err
+        # the parser is built once and left usable by the error
+        assert cli._build_parser() is cli._build_parser()
+        assert cli.main(["resultant", linear_file]) == 0
+        assert capsys.readouterr().out == "a^3 + 3*a^2*b\n"

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never
 uses, no module- or class-level definition goes unreferenced,
-polynomial arithmetic and its unchecked ``_trusted`` constructors live
-in ``ring.py`` alone, and every symres name the benchmark's tracer
-wraps still exists."""
+polynomial arithmetic, its unchecked ``_trusted`` constructors and the
+private coefficient store ``_terms`` live in ``ring.py`` alone, and
+every symres name the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -213,6 +213,39 @@ def test_detects_a_trusted_use():
                      "make = Polynomial._trusted\n"
                      "def _trusted(): pass\n")
     assert trusted_uses(tree) == [1, 3]
+
+
+def private_ring_uses(tree):
+    """Lines that import an underscore name from ``symres.ring`` or read
+    the private coefficient store ``_terms`` of a Polynomial."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "symres.ring"
+                or node.level and node.module == "ring"):
+            if any(alias.name.startswith("_") for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_terms":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_private_ring_names_stay_in_ring():
+    found = [f"{path.relative_to(ROOT)}: line {line}"
+             for path in SOURCES if path != PACKAGE / "ring.py"
+             for line in private_ring_uses(
+                 ast.parse(path.read_text(), str(path)))]
+    assert not found, f"private ring names outside ring.py: {found}"
+
+
+def test_detects_a_private_ring_use():
+    tree = ast.parse("from symres.ring import Polynomial, _add\n"
+                     "from .ring import _mul\n"
+                     "from symres.parser import _atoms\n"
+                     "size = len(p._terms)\n"
+                     "view = p.terms\n"
+                     "from symres.ring import Coefficient\n")
+    assert private_ring_uses(tree) == [1, 2, 4]
 
 
 TRACE_TABLES = ("FUNCTIONS", "METHODS", "LEAVES")
