@@ -36,8 +36,6 @@ from symres.equivariant import (
     verify_decomposition,
 )
 from symres.parser import (
-    _factored_doc,
-    emit_factored_json,
     format_int,
     parse_int,
     parse_system_file,
@@ -48,6 +46,26 @@ from symres.resultant import macaulay_resultant
 
 def _read_file(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _factored_doc(factored) -> dict:
+    """The ``prefactor`` and ``factors`` fields of a factored result."""
+    return {
+        "prefactor": print_coefficient(factored.prefactor),
+        "factors": [
+            {"expr": print_coefficient(coeff), "multiplicity": mult}
+            for coeff, mult in factored.factors
+        ],
+    }
+
+
+def emit_factored_json(factored) -> str:
+    """Serialize a factored resultant as a stable JSON document.
+
+    Accepts any object with ``prefactor`` (Coefficient) and ``factors``
+    (ordered list of (Coefficient, multiplicity) pairs).
+    """
+    return json.dumps(_factored_doc(factored), indent=2)
 
 
 def _print_factors(factored) -> None:

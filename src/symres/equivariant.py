@@ -84,43 +84,37 @@ def rho_lambda(p: Polynomial, lam) -> Polynomial:
                      lam.length)
 
 
-@dataclass(frozen=True)
-class SpecializedSystem:
-    """The chain of blockwise specializations attached to one partition."""
-
-    lam: Partition
-    polys: Tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        l = self.lam.length
-        if len(self.polys) != l:
-            raise ValueError("one polynomial per block expected")
-        d = self.polys[0].degree
-        for k, p in enumerate(self.polys):
-            if p.ambient != l or (not p.is_zero() and p.degree != d - k):
-                raise ValueError("chain degrees must step down by one")
-
-
 def specialize_chain(table: DividedDifferenceTable,
-                     lam) -> SpecializedSystem:
-    """rho_lambda of the divided differences along the block leads.
+                     lam) -> Tuple[Polynomial, ...]:
+    """The chain of one partition: rho_lambda of the divided
+    differences along the block leads.
 
-    The k-th chain entry is rho_lambda(F^{I_k}) with I_k the leading
-    indices of the first k blocks; the blockwise collapse is injective
-    on I_k, so this equals the k-th divided difference of the
-    specialized system itself.
+    The k-th entry is rho_lambda(F^{I_k}) with I_k the leading indices
+    of the first k blocks; the blockwise collapse is injective on I_k,
+    so this equals the k-th divided difference of the specialized
+    system itself.
+
+    Each entry is read off the cached canonical F^{(0..k-1)} by one
+    relabel, with the lead-first blocking: variable j < l heads block j,
+    and the other n - l variables fill the blocks in order, lam_j - 1 of
+    them to block j.  F^{I_k} is the canonical value under a
+    permutation sending 0..k-1 to I_k, so both collapses send variable
+    i < k to block i.  F^{(0..k-1)} is covariant under every permutation
+    fixing 0..k-1, hence symmetric in the other variables, so only how
+    many of those land in each block matters: lam_j - 1 to block j < k
+    and lam_j to block j >= k under either collapse.
     """
     lam = _as_partition(lam)
     sys = table.system
     if lam.n != sys.n:
         raise ValueError(f"partition of {lam.n} against a system of {sys.n}")
-    if lam.length > sys.d:
-        raise ValueError(
-            f"chain length {lam.length} exceeds degree {sys.d}")
-    leads = block_leads(lam)
-    polys = tuple(rho_lambda(table.divided_difference(leads[:k]), lam)
-                  for k in range(1, lam.length + 1))
-    return SpecializedSystem(lam, polys)
+    l = lam.length
+    if l > sys.d:
+        raise ValueError(f"chain length {l} exceeds degree {sys.d}")
+    target = list(range(l)) + [j for j, part in enumerate(lam)
+                               for _ in range(part - 1)]
+    return tuple(table.divided_difference(range(k)).relabel(target, l)
+                 for k in range(1, l + 1))
 
 
 @dataclass(frozen=True)
@@ -128,17 +122,17 @@ class FactoredResultant:
     """A resultant as prefactor times a product of factor powers.
 
     ``partitions`` labels the factors, one partition per factor in the
-    same order; it is empty for an unlabelled product.
+    same order.
     """
 
     prefactor: Coefficient
     factors: Tuple[Tuple[Coefficient, int], ...]
-    partitions: Tuple[Partition, ...] = ()
+    partitions: Tuple[Partition, ...]
 
     def __post_init__(self):
         if any(mult < 1 for _, mult in self.factors):
             raise ValueError("multiplicities must be positive")
-        if self.partitions and len(self.partitions) != len(self.factors):
+        if len(self.partitions) != len(self.factors):
             raise ValueError("one partition per factor expected")
 
     def expand(self) -> Coefficient:
@@ -165,7 +159,7 @@ def decompose_resultant(system: EquivariantSystem) -> FactoredResultant:
     else:
         prefactor = system.ring.one()
     lams = tuple(partitions(n, max_length=d))
-    factors = tuple((resultant(specialize_chain(table, lam).polys),
+    factors = tuple((resultant(specialize_chain(table, lam)),
                      m_lambda(lam)) for lam in lams)
     return FactoredResultant(prefactor, factors, lams)
 
@@ -233,7 +227,7 @@ def averaged_chain_resultant(system: EquivariantSystem,
             total = total + rho_lambda(table.divided_difference(subset), lam)
         summed_polys.append(total)
     summed = macaulay_resultant(summed_polys)
-    chain = macaulay_resultant(specialize_chain(table, lam).polys)
+    chain = macaulay_resultant(specialize_chain(table, lam))
     constant = 1
     for k in range(1, l):
         constant *= comb(l, k) ** falling_quotient(d, l, k)

@@ -1,4 +1,4 @@
-"""Text and JSON front end for polynomials and factored results.
+"""Text front end for polynomials and coefficients.
 
 The polynomial grammar is deliberately small: integer literals,
 declared parameter names, main variables x1..xn, the operators
@@ -23,7 +23,6 @@ of an equivariant system repeats are evaluated on the first line only;
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -397,23 +396,3 @@ def parse_system_file(text: str) -> SystemFile:
         except ParseError as exc:
             raise ParseError(f"line {no}: {exc.message}", exc.offset) from None
     return SystemFile(n=n, d=d, ring=ring, polys=tuple(polys))
-
-
-def _factored_doc(factored) -> dict:
-    """The ``prefactor`` and ``factors`` fields of a factored result."""
-    return {
-        "prefactor": print_coefficient(factored.prefactor),
-        "factors": [
-            {"expr": print_coefficient(coeff), "multiplicity": mult}
-            for coeff, mult in factored.factors
-        ],
-    }
-
-
-def emit_factored_json(factored) -> str:
-    """Serialize a factored resultant as a stable JSON document.
-
-    Accepts any object with ``prefactor`` (Coefficient) and ``factors``
-    (ordered list of (Coefficient, multiplicity) pairs).
-    """
-    return json.dumps(_factored_doc(factored), indent=2)

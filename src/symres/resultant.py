@@ -10,8 +10,8 @@ x_1^{d_1}, ..., x_n^{d_n} has resultant exactly 1.
 The denominator, the small minor on the monomials divisible by two or
 more x_i^{d_i}, is computed first; the numerator is only computed once
 the denominator is known to be nonzero.  Over the empty parameter ring
-every entry is an integer constant, and ``determinant`` eliminates on
-plain ints.
+every entry is a plain int, as the polynomials store it, and
+``determinant`` eliminates on plain ints.
 
 When the denominator determinant vanishes (the formula is degenerate
 for the given coefficients even though the resultant itself is fine)
@@ -86,7 +86,9 @@ def macaulay_data(polys: Sequence[Polynomial]):
 
     Row and column r both correspond to the r-th monomial of degree t
     in descending lex order; column beta holds the coefficients of
-    (x^beta / x_i^{d_i}) * f_i for i the index function of beta.
+    (x^beta / x_i^{d_i}) * f_i for i the index function of beta.  The
+    entries are the coefficients as the polynomials store them: ints
+    over Z, Coefficients over Z[params].
     """
     degrees = [p.degree for p in polys]
     n = len(polys)
@@ -94,10 +96,10 @@ def macaulay_data(polys: Sequence[Polynomial]):
     mons = monomials_of_degree(n, t)
     pos = {m: r for r, m in enumerate(mons)}
     ring = polys[0].ring
-    zero = ring.zero()
+    zero = ring.zero() if ring.params else 0
     size = len(mons)
     rows = [[zero] * size for _ in range(size)]
-    terms = [p.terms for p in polys]
+    terms = [p.stored_terms for p in polys]
     for c, beta in enumerate(mons):
         i = index_function(beta, degrees)
         shift = tuple(e - (degrees[i] if j == i else 0)
@@ -159,12 +161,14 @@ def _try_quotient(polys: Sequence[Polynomial]):
     pays for the full numerator determinant.
     """
     rows, _, dod = macaulay_data(polys)
-    if not dod:
-        return determinant(rows)
-    den = determinant([[rows[r][c] for c in dod] for r in dod])
-    if den.is_zero():
-        return None
-    return determinant(rows).exact_div(den)
+    if dod:
+        den = determinant([[rows[r][c] for c in dod] for r in dod])
+        if not den:
+            return None
+    value = determinant(rows)
+    if isinstance(value, int):
+        value = polys[0].ring.constant(value)
+    return value.exact_div(den) if dod else value
 
 
 def _perturbed_resultant(polys: Sequence[Polynomial]) -> Coefficient:

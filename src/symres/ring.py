@@ -21,32 +21,34 @@ Storage rule: a Polynomial keeps its coefficients privately, in
 ``_terms``, as elements of its ring: a plain ``int`` over Z and a
 ``Coefficient`` over Z[params] with parameters.  The kernel runs on
 either, so integer systems pay an int operation, not a Coefficient
-method call, per coefficient product.  Outside this module everything
-stays a Coefficient: ``Polynomial.terms`` is a read-only Coefficient
-view (built on access over Z), the accessors and ``determinant``
-return Coefficients, and public construction takes ints and
-Coefficients alike.
+method call, per coefficient product.  ``Polynomial.stored_terms`` is a
+read-only view of them as stored, so the Macaulay matrix of an integer
+system is a matrix of ints; ``Polynomial.terms`` is a read-only
+Coefficient view (built on access over Z), the accessors return
+Coefficients, and public construction takes ints and Coefficients alike.
 The term order is plain lexicographic on the exponent tuples; every
 Polynomial is homogeneous, so on its terms lex equals graded lex.  Exact
 division follows the leading-term division algorithm, which succeeds if
 and only if the divisor divides the dividend.
 
-``determinant`` picks one of four routes from the matrix alone: a
-parameter-free matrix is eliminated over plain ints (``_bareiss_int``);
-a symbolic one whose Kronecker packing fits in ``PACKED_MAX_BITS`` bits
-is packed into plain ints, eliminated once by ``_bareiss_int`` and read
-back (``_determinant_packed``); any other symbolic one of at most
-``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes to the division-free
-``determinant_minors``, and a larger one to the fraction-free
-``determinant_bareiss``.  Both Bareiss loops pivot in each column on
-the smallest nonzero entry (fewest bits, or fewest terms), and packing
-sizes its digits by Hadamard's bound.  Both caps are measured.  Packing
-makes every entry an integer as long as the determinant's degree box
-times its coefficient width, so it wins for few parameters and low
-degrees and loses badly past the cap.  On random Macaulay numerators
-over three parameters minor expansion beat Bareiss at 12 rows and lost
-or tied at 14.  ``determinant_cofactor``, ``determinant_minors`` and
-``determinant_bareiss`` stay public as test oracles.
+``determinant`` picks one of three routes from the matrix alone: a
+matrix of ints is eliminated over plain ints (``_bareiss_int``); a
+Coefficient matrix whose Kronecker packing fits in ``PACKED_MAX_BITS``
+bits is packed into plain ints, eliminated once by ``_bareiss_int`` and
+read back (``_determinant_packed``), and so is a parameter-free one,
+whose one-point degree box packs nothing, at any width; any other
+symbolic matrix of at most ``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes
+to the division-free ``determinant_minors``, and a larger one to the
+fraction-free ``determinant_bareiss``.  Both Bareiss loops pivot in
+each column on the smallest nonzero entry (fewest bits, or fewest
+terms), and packing sizes its digits by Hadamard's bound.  Both caps
+are measured.  Packing makes every entry an integer as long as the
+determinant's degree box times its coefficient width, so it wins for
+few parameters and low degrees and loses badly past the cap.  On
+random Macaulay numerators over three parameters minor expansion beat
+Bareiss at 12 rows and lost or tied at 14.  ``determinant_cofactor``,
+``determinant_minors`` and ``determinant_bareiss`` stay public as test
+oracles.
 
 ``format_int`` and ``parse_int`` convert ints of any length to and from
 decimal text, so messages and reprs never hit Python's int/str digit
@@ -393,10 +395,10 @@ class Polynomial:
     to Coefficients; every exponent tuple sums to ``degree``.  The
     coefficients are stored in ``_terms`` as elements of the ring:
     plain ints over Z, so integer arithmetic builds no Coefficient, and
-    Coefficients over Z[params].  Over Z the view is built on each
-    access, so a reader that looks at many terms binds it once.  The
-    zero polynomial has no terms and carries a nominal degree that
-    comparisons ignore.
+    Coefficients over Z[params]; ``stored_terms`` reads them as they
+    are.  Over Z the ``terms`` view is built on each access, so a reader
+    that looks at many terms binds it once.  The zero polynomial has no
+    terms and carries a nominal degree that comparisons ignore.
     """
 
     __slots__ = ("ring", "ambient", "degree", "_terms")
@@ -433,10 +435,16 @@ class Polynomial:
         return out
 
     @property
+    def stored_terms(self) -> Mapping[Monomial, CoefficientLike]:
+        """Read-only view: exponent tuple -> nonzero coefficient as
+        stored, an int over Z and a Coefficient over Z[params]."""
+        return MappingProxyType(self._terms)
+
+    @property
     def terms(self) -> Mapping[Monomial, Coefficient]:
         """Read-only view: exponent tuple -> nonzero Coefficient."""
         if self.ring.params:
-            return MappingProxyType(self._terms)
+            return self.stored_terms
         return MappingProxyType({e: self._coefficient(c)
                                  for e, c in self._terms.items()})
 
@@ -862,39 +870,6 @@ def _bareiss_int(rows: list) -> int:
     return last if sign > 0 else -last
 
 
-def _lowered(rows: list):
-    """The rows as plain ints and the map back to the entry type.
-
-    Returns None unless every entry is an int, or every entry is a
-    parameter-free Coefficient of one ring.
-    """
-    first = rows[0][0]
-    if isinstance(first, int):
-        if all(isinstance(x, int) for row in rows for x in row):
-            return rows, int
-        return None
-    if not isinstance(first, Coefficient):
-        return None
-    ring = first.ring
-    unit = (0,) * len(ring.params)
-    ints = []
-    for row in rows:
-        out = []
-        for x in row:
-            if not isinstance(x, Coefficient) or (
-                    x.ring is not ring and x.ring != ring):
-                return None
-            terms = x.terms
-            if not terms:
-                out.append(0)
-            elif len(terms) == 1 and unit in terms:
-                out.append(terms[unit])
-            else:
-                return None
-        ints.append(out)
-    return ints, ring.constant
-
-
 # Largest symbolic matrix sent to minor expansion.  On random binary
 # Macaulay numerators over three parameters, entries of degree at most 1
 # (single runs, pure CPython), it beat Bareiss at 12 rows, 5.2 s against
@@ -936,7 +911,8 @@ def _determinant_packed(rows: list):
     in the degree box owns its own digit, and the int determinant read
     back in signed K-bit digits is the polynomial one (von zur Gathen and
     Gerhard, *Modern Computer Algebra*, 8.4).  A value outside the box
-    raises ArithmeticError.
+    raises ArithmeticError.  A parameter-free matrix has the one-point
+    box: its entries pack to themselves, so the cap does not apply.
     """
     first = rows[0][0]
     if not isinstance(first, Coefficient):
@@ -965,7 +941,7 @@ def _determinant_packed(rows: list):
              for a, b in zip(degree_sums(tops), degree_sums(zip(*tops)))]
     k = bound.bit_length() + 1
     length = math.prod(sizes)
-    if k * length > PACKED_MAX_BITS:
+    if length > 1 and k * length > PACKED_MAX_BITS:
         return None
     shifts = [k]
     for size in sizes[:-1]:
@@ -993,24 +969,23 @@ def determinant(m):
 
     The branch is chosen from the matrix alone:
 
-      1. A matrix with no parameter in any entry is eliminated over
-         plain ints by ``_bareiss_int`` and the value lifted back, so
-         Coefficient entries give a Coefficient and int entries an int.
+      1. A matrix of plain ints is eliminated by ``_bareiss_int`` and
+         its value is an int.
       2. A Coefficient matrix whose Kronecker packing (degree box times
          coefficient width) has at most ``PACKED_MAX_BITS`` bits is
          packed into plain ints, eliminated once by ``_bareiss_int``
          and unpacked by ``_determinant_packed``.  Past that cap the
-         big-int products cost more than the symbolic routes.
+         big-int products cost more than the symbolic routes.  A
+         parameter-free Coefficient matrix has a one-point degree box,
+         packs nothing and always takes this route.
       3. Other matrices with at most ``MINOR_EXPANSION_MAX_DIM`` rows use
-         the division-free ``determinant_minors``.
-      4. Larger ones use ``determinant_bareiss``, whose exact divisions
-         cost less than the 2^dim row subsets of minor expansion there.
+         the division-free ``determinant_minors``, and larger ones
+         ``determinant_bareiss``, whose exact divisions cost less than
+         the 2^dim row subsets of minor expansion there.
     """
     rows = _as_rows(m)
-    lowered = _lowered(rows)
-    if lowered is not None:
-        ints, lift = lowered
-        return lift(_bareiss_int(ints))
+    if all(isinstance(x, int) for row in rows for x in row):
+        return _bareiss_int(rows)
     packed = _determinant_packed(rows)
     if packed is not None:
         return packed

@@ -76,7 +76,7 @@ def test_criterion_04_two_block_factor_display():
     for n, d, lam in ((3, 2, (2, 1)), (4, 2, (3, 1)), (4, 2, (2, 2))):
         system = generic_equivariant_system(n, d)
         table = DividedDifferenceTable(system)
-        value = macaulay_resultant(specialize_chain(table, lam).polys)
+        value = macaulay_resultant(specialize_chain(table, lam))
         assert value == displayed_length_two_factor(system.ring, lam[0], n)
 
 
@@ -89,7 +89,7 @@ def test_criterion_05_equal_block_factor_as_displayed():
         system = generic_equivariant_system(2 * k, 2)
         a, b, d = (system.ring.parameter(s) for s in "abd")
         table = DividedDifferenceTable(system)
-        value = macaulay_resultant(specialize_chain(table, (k, k)).polys)
+        value = macaulay_resultant(specialize_chain(table, (k, k)))
         displayed = (a + b * k) ** 2 * (a - d * k) ** 2
         assert value == displayed, (
             f"equal-block factor at k={k} is "
@@ -106,7 +106,7 @@ def test_criterion_05_corrected_equal_block_factor():
         system = generic_equivariant_system(2 * k, 2)
         a, b, d = (system.ring.parameter(s) for s in "abd")
         table = DividedDifferenceTable(system)
-        value = macaulay_resultant(specialize_chain(table, (k, k)).polys)
+        value = macaulay_resultant(specialize_chain(table, (k, k)))
         assert value == (a + b * k) ** 2 * (a - d * k), k
 
 

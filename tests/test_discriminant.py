@@ -301,7 +301,7 @@ class TestFactoredValue:
         F = SymmetricPoly(4, 3, {(3,): 1, (2, 1): -1})
         result = discriminant_decomposition(F)
         off = replace(result, factored=FactoredResultant(
-            F.ring.constant(3 ** result.a + 1), ()))
+            F.ring.constant(3 ** result.a + 1), (), ()))
         with pytest.raises(ArithmeticError):
             off.value()
 

@@ -13,7 +13,6 @@ from symres.equivariant import (
     AveragingReport,
     _generic_layout,
     FactoredResultant,
-    SpecializedSystem,
     averaged_chain_resultant,
     block_leads,
     decompose_resultant,
@@ -151,7 +150,7 @@ class TestSpecializeChain:
         chain = specialize_chain(table, (3,))
         ring = table.system.ring
         want = parse_poly("(a + 3*b)*x1", 1, ring)
-        assert chain.polys == (want,)
+        assert chain == (want,)
 
     def test_two_block_quadratic_pair(self):
         sys42 = generic_equivariant_system(4, 2)
@@ -160,16 +159,53 @@ class TestSpecializeChain:
         ring = sys42.ring
         # second entry is a(y1+y2) + b(m y1 + (n-m) y2) at m=3, n=4
         want = parse_poly("a*(x1 + x2) + b*(3*x1 + x2)", 2, ring)
-        assert chain.polys[1] == want
-        assert [p.degree for p in chain.polys] == [2, 1]
-        assert all(p.ambient == 2 for p in chain.polys)
+        assert chain[1] == want
+        assert [p.degree for p in chain] == [2, 1]
+        assert all(p.ambient == 2 for p in chain)
 
     def test_identity_partition_is_plain_renaming(self):
         sys22 = generic_equivariant_system(2, 2)
         table = DividedDifferenceTable(sys22)
         chain = specialize_chain(table, (1, 1))
-        assert chain.polys[0] == sys22.polys[0]
-        assert chain.polys[1] == table.divided_difference((0, 1))
+        assert chain[0] == sys22.polys[0]
+        assert chain[1] == table.divided_difference((0, 1))
+
+    def test_lead_first_collapse_matches_rho_of_lead_subsets(self):
+        """One relabel of the canonical F^{(0..k-1)} gives
+        rho_lambda(F^{leads[:k]}) for every chain of every partition."""
+        systems = [random_integer_equivariant_system(
+                       random.Random(f"chain:{n}:{d}"), n, d)
+                   for n in range(2, 7) for d in range(1, 5)]
+        systems += [generic_equivariant_system(n, d)
+                    for n, d in ((3, 2), (4, 2), (3, 3))]
+        for system in systems:
+            n, d = system.n, system.d
+            table = DividedDifferenceTable(system)
+            for lam in partitions(n, max_length=d):
+                leads = block_leads(lam)
+                want = tuple(
+                    rho_lambda(table.divided_difference(leads[:k]), lam)
+                    for k in range(1, lam.length + 1))
+                assert specialize_chain(table, lam) == want, (n, d, lam)
+
+    def test_chain_permutes_nothing(self, monkeypatch):
+        """With the canonical entries cached, no chain entry is a
+        permuted copy of one."""
+        for n, d in ((4, 3), (5, 2), (6, 4)):
+            table = DividedDifferenceTable(random_integer_equivariant_system(
+                random.Random(n * d), n, d)).freeze()
+            calls = []
+            real = Polynomial.permute
+
+            def spy(self, sigma):
+                calls.append(sigma)
+                return real(self, sigma)
+
+            monkeypatch.setattr(Polynomial, "permute", spy)
+            for lam in partitions(n, max_length=d):
+                specialize_chain(table, lam)
+            monkeypatch.undo()
+            assert calls == [], (n, d)
 
     def test_rejects_chains_longer_than_degree(self):
         table = DividedDifferenceTable(generic_equivariant_system(3, 2))
@@ -193,26 +229,20 @@ class TestSpecializeChain:
                     via_y = divided_difference_determinant(specialized, J)
                     assert via_x == via_y, (n, d, lam, J)
 
-    def test_specialized_system_validation(self):
-        ring = ParameterRing(("a",))
-        good = [parse_poly("a*x1^2", 2, ring), parse_poly("a*x2", 2, ring)]
-        with pytest.raises(ValueError, match="per block"):
-            SpecializedSystem(Partition((1, 1)), (good[0],))
-        with pytest.raises(ValueError, match="step down"):
-            SpecializedSystem(Partition((1, 1)), (good[0], good[0]))
-
 
 class TestFactoredResultant:
     def test_expand(self):
         ring = ParameterRing(("a", "b"))
         a, b = ring.parameter("a"), ring.parameter("b")
-        f = FactoredResultant(a, (((a + b), 2), (b, 1)))
+        f = FactoredResultant(a, (((a + b), 2), (b, 1)),
+                              (Partition((2,)), Partition((1, 1))))
         assert f.expand() == a * (a + b) ** 2 * b
 
     def test_rejects_bad_multiplicity(self):
         ring = ParameterRing(("a",))
         with pytest.raises(ValueError):
-            FactoredResultant(ring.one(), ((ring.parameter("a"), 0),))
+            FactoredResultant(ring.one(), ((ring.parameter("a"), 0),),
+                              (Partition((1,)),))
 
     def test_rejects_label_count_mismatch(self):
         ring = ParameterRing(("a",))
@@ -256,7 +286,7 @@ class TestDecomposeQuadratic:
         for n, d, lam in cases:
             system = generic_equivariant_system(n, d)
             table = DividedDifferenceTable(system)
-            value = macaulay_resultant(specialize_chain(table, lam).polys)
+            value = macaulay_resultant(specialize_chain(table, lam))
             want = displayed_length_two_factor(system.ring, lam[0], n)
             assert value == want, (n, lam)
 
@@ -269,7 +299,7 @@ class TestDecomposeQuadratic:
             ring = system.ring
             a, b, d = (ring.parameter(x) for x in "abd")
             table = DividedDifferenceTable(system)
-            value = macaulay_resultant(specialize_chain(table, (k, k)).polys)
+            value = macaulay_resultant(specialize_chain(table, (k, k)))
             assert value == (a + b * k) ** 2 * (a - d * k)
 
 
@@ -500,7 +530,7 @@ class TestGenericSystems:
         At integer points it equals the chain of the specialized system."""
         system = generic_equivariant_system(3, 4)
         value = resultant(specialize_chain(DividedDifferenceTable(system),
-                                           (2, 1)).polys)
+                                           (2, 1)))
 
         def at(c, point):
             return sum(v * prod(x ** e for x, e in zip(point, exp))
@@ -515,5 +545,5 @@ class TestGenericSystems:
                 for p in system.polys])
             chain = specialize_chain(DividedDifferenceTable(specialized),
                                      (2, 1))
-            want = resultant(chain.polys).constant_value()
+            want = resultant(chain).constant_value()
             assert want and at(value, point) == want

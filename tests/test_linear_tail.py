@@ -173,5 +173,5 @@ def test_all_ones_chain_builds_only_small_matrices(monkeypatch):
         return data
 
     monkeypatch.setattr(resultant_module, "macaulay_data", recording)
-    resultant(chain.polys)
+    resultant(chain)
     assert sizes and max(sizes) <= 5

@@ -8,11 +8,11 @@ from itertools import combinations
 import pytest
 
 import symres.ring as ring_module
+from symres.cli import emit_factored_json
 from symres.combinatorics import basis_partitions
 from symres.equivariant import expand_elementary
 from symres.parser import (
     ParseError,
-    emit_factored_json,
     format_int,
     parse_coefficient,
     parse_int,

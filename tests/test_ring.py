@@ -542,9 +542,38 @@ def test_int_determinant_matches_slow_routes(rows):
 def test_constant_coefficient_matrix_lifts_back(rows):
     value = determinant(rows)
     for ring in (Z, T):
-        lifted = determinant([[ring.constant(v) for v in row] for row in rows])
+        entries = [[ring.constant(v) for v in row] for row in rows]
+        lifted = determinant(entries)
         assert isinstance(lifted, Coefficient) and lifted.ring == ring
         assert lifted == ring.constant(value)
+        if len(rows) <= 6:
+            assert lifted == determinant_cofactor(entries)
+
+
+def test_constant_matrix_past_the_cap_packs_nothing(monkeypatch):
+    """A parameter-free matrix over Z[t] whose Hadamard bound passes
+    2^15 bits has the one-point degree box: one int elimination and no
+    symbolic route."""
+    big = 1 << 20000
+    rows = [[T.constant(x) for x in row]
+            for row in ((big, 3, 0), (5, big + 1, -7), (0, 2, big))]
+    calls = []
+    real = ring_module._bareiss_int
+
+    def spy(ints):
+        calls.append(len(ints))
+        return real(ints)
+
+    def refuse(rows):
+        raise AssertionError("symbolic route taken")
+
+    monkeypatch.setattr(ring_module, "_bareiss_int", spy)
+    monkeypatch.setattr(ring_module, "determinant_minors", refuse)
+    monkeypatch.setattr(ring_module, "determinant_bareiss", refuse)
+    value = determinant(rows)
+    assert calls == [3]
+    monkeypatch.undo()
+    assert value == determinant_cofactor(rows)
 
 
 def test_int_determinant_forced_row_swaps_and_singular():
@@ -762,8 +791,8 @@ def test_minor_expansion_drops_zero_minors(monkeypatch):
 
 
 def test_determinant_dispatch(monkeypatch):
-    """Ints (or constant Coefficients) go to the int loop, symbolic
-    matrices whose packing fits the cap to one packed int elimination,
+    """Ints go to the int loop, Coefficient matrices whose packing fits
+    the cap (constant ones always do) to one packed int elimination,
     larger symbolic ones of up to 12 rows to minor expansion and the
     rest to Bareiss."""
     seen = []
@@ -795,10 +824,13 @@ def test_determinant_dispatch(monkeypatch):
         assert seen == [("_determinant_packed", n), (route, n)]
         assert value == prod((t ** 3000 + i for i in range(n)),
                              start=T.one())
-    for entry in (lambda i: i + 2, lambda i: T.constant(i + 2)):
-        seen.clear()
-        determinant(diagonal(12, entry))
-        assert seen == [("_bareiss_int", 12)]
+    seen.clear()
+    assert determinant(diagonal(12, lambda i: i + 2)) == prod(range(2, 14))
+    assert seen == [("_bareiss_int", 12)]
+    seen.clear()
+    assert determinant(diagonal(12, lambda i: T.constant(i + 2))) == \
+        T.constant(prod(range(2, 14)))
+    assert seen == [("_determinant_packed", 12), ("_bareiss_int", 12)]
 
 
 # --- Kronecker packing --------------------------------------------------------
