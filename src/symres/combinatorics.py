@@ -57,33 +57,23 @@ def partitions(n: int, max_length: Optional[int] = None) -> List[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first.
 
     With ``max_length`` only partitions of at most that many parts are
-    returned.
+    generated: no first part below n / max_length is tried.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if max_length is not None and max_length < 1:
         raise ValueError("max_length must be at least 1")
-    out: List[Partition] = []
-    parts = [n]
-    while True:
-        if max_length is None or len(parts) <= max_length:
-            out.append(Partition(tuple(parts)))
-        # find the rightmost part that can still shrink
-        k = len(parts) - 1
-        while k >= 0 and parts[k] == 1:
-            k -= 1
-        if k < 0:
-            return out
-        parts[k] -= 1
-        rem = len(parts) - 1 - k
-        del parts[k + 1:]
-        # refill greedily with parts no larger than parts[k]
-        rem += 1
-        cap = parts[k]
-        while rem:
-            take = min(cap, rem)
-            parts.append(take)
-            rem -= take
+
+    def bounded(total: int, cap: int, length: int):
+        """Partitions of total into at most length parts of at most cap."""
+        if not total:
+            yield ()
+            return
+        for first in range(min(total, cap), -(-total // length) - 1, -1):
+            for rest in bounded(total - first, first, length - 1):
+                yield (first,) + rest
+
+    return [Partition(parts) for parts in bounded(n, n, max_length or n)]
 
 
 def basis_partitions(n: int, d: int) -> List[Partition]:

@@ -73,13 +73,16 @@ def check_equivariance(polys: Sequence[Polynomial]) -> EquivarianceReport:
     generate the stabilizer of 0, which fixes F^0.  For any sigma,
     pi_{sigma(i)}^{-1} sigma pi_i fixes 0, so
     sigma(F^i) = sigma pi_i(F^0) = pi_{sigma(i)}(F^0) = F^{sigma(i)}.
+    Each swap is compared in place, by ``Polynomial.permutes_to``: every
+    swapped exponent tuple is looked up in the other polynomial's terms,
+    and no permuted copy is built.
     """
     n = len(polys)
     for k in range(n - 1):
-        if polys[k].permute(_swap(n, k, k + 1)) != polys[k + 1]:
+        if not polys[k].permutes_to(_swap(n, k, k + 1), polys[k + 1]):
             return EquivarianceReport(False, (k, k + 1), k)
     for k in range(1, n - 1):
-        if polys[0].permute(_swap(n, k, k + 1)) != polys[0]:
+        if not polys[0].permutes_to(_swap(n, k, k + 1), polys[0]):
             return EquivarianceReport(False, (k, k + 1), 0)
     return EquivarianceReport(True)
 

@@ -18,7 +18,11 @@ Each distinct parenthesised group and product term is evaluated once
 per call: a memo keyed by its source text lasts one
 ``parse_system_file`` call, so the symmetric cofactors that every line
 of an equivariant system repeats are evaluated on the first line only;
-``parse_poly`` and ``parse_coefficient`` start a fresh memo each.
+``parse_poly`` and ``parse_coefficient`` start a fresh memo each.  A
+seen group is not even tokenized again: one regex pass finds each
+line's innermost groups, and one the memo holds becomes a single token
+read back from the memo, named by its '(' in error messages.  Each
+expression's terms are added into one new term dict.
 """
 
 from __future__ import annotations
@@ -33,12 +37,14 @@ from symres.ring import (
     Polynomial,
     format_int,
     parse_int,
+    signed_sum,
     split_joint,
 )
 
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*^()])|(?P<bad>\S))")
+_GROUP_RE = re.compile(r"\([^()]*\)")
 
 
 class ParseError(ValueError):
@@ -50,25 +56,46 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-def _tokenize(text: str) -> Tuple[List[Tuple[str, str, int]], Dict[int, int]]:
+def _tokenize(text: str, memo: Dict[str, Coefficient]
+              ) -> Tuple[List[Tuple[str, str, int]], Dict[int, int]]:
     """The (kind, text, offset) tokens of ``text``, closed by an "end"
-    token, and the index of the matching ')' of every '(' that has one."""
-    tokens = []
+    token, and the index of the matching ')' of every '(' that has one.
+
+    An innermost group whose source text the memo holds is one "group"
+    token with that text; everything else is tokenized in full.
+    """
+    tokens: List[Tuple[str, str, int]] = []
     close: Dict[int, int] = {}
-    opened = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        offset = m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text[offset]!r}", offset)
-        tok = m.group(kind)
-        if tok == "(":
-            opened.append(len(tokens))
-        elif tok == ")" and opened:
-            close[opened.pop()] = len(tokens)
-        tokens.append((kind, tok, offset))
+    opened: List[int] = []
+
+    def scan(start: int, stop: int) -> None:
+        for m in _TOKEN_RE.finditer(text, start, stop):
+            kind = m.lastgroup
+            offset = m.start(kind)
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text[offset]!r}",
+                                 offset)
+            tok = m.group(kind)
+            if tok == "(":
+                opened.append(len(tokens))
+            elif tok == ")" and opened:
+                close[opened.pop()] = len(tokens)
+            tokens.append((kind, tok, offset))
+
+    start = 0
+    for m in _GROUP_RE.finditer(text) if memo else ():
+        if m.group() in memo:
+            scan(start, m.start())
+            tokens.append(("group", m.group(), m.start()))
+            start = m.end()
+    scan(start, len(text))
     tokens.append(("end", "", len(text)))
     return tokens, close
+
+
+def _shown(tok: Tuple[str, str, int]) -> str:
+    """A token as an error message names it: a group by its '('."""
+    return "(" if tok[0] == "group" else tok[1] or "end"
 
 
 def _atoms(ambient: int, ring: ParameterRing) -> Tuple[Coefficient, ...]:
@@ -103,7 +130,7 @@ class _Parser:
                  atoms: Tuple[Coefficient, ...],
                  memo: Dict[str, Coefficient]):
         self.text = text
-        self.tokens, self.close = _tokenize(text)
+        self.tokens, self.close = _tokenize(text, memo)
         self.pos = 0
         self.ambient = ambient
         self.ring = ring
@@ -115,7 +142,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok[0] != kind or (text is not None and tok[1] != text):
             want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok[1] or 'end'!r}",
+            raise ParseError(f"expected {want!r}, found {_shown(tok)!r}",
                              tok[2])
         self.pos += 1
         return tok
@@ -137,26 +164,23 @@ class _Parser:
 
     def parse(self) -> Coefficient:
         value = self.expression()
-        kind, text, offset = self.tokens[self.pos]
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r}", offset)
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            raise ParseError(f"trailing input {_shown(tok)!r}", tok[2])
         return value
 
     def expression(self) -> Coefficient:
         _, text, offset = self.tokens[self.pos]
         if text == "+":
             raise ParseError("unary plus is not allowed", offset)
-        value = self.term()
+        first = self.term()
+        rest = []
         while True:
             op = self.tokens[self.pos][1]
-            if op == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif op == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
+            if op != "+" and op != "-":
+                return signed_sum(first, rest) if rest else first
+            self.pos += 1
+            rest.append((op == "-", self.term()))
 
     def term(self) -> Coefficient:
         end = self.term_end()
@@ -217,6 +241,8 @@ class _Parser:
             return self.memoized(end + 1, self.group)
         kind, text, offset = self.tokens[self.pos]
         self.pos += 1
+        if kind == "group":
+            return self.memo[text]
         if kind == "int":
             return self.atoms[0] * parse_int(text)
         if kind == "ident":

@@ -14,8 +14,9 @@ and share one term kernel, ``_accumulate``, ``_add``, ``_mul`` and
 results skip the checks of public construction through the private
 ``_trusted`` constructors.  So do ``substitute``, which computes each
 power of an image once per call, ``relabel``, which serves ``permute``
-and the blockwise collapse of the decomposition, and ``split_joint``,
-which builds the parser's checked lines.
+and the blockwise collapse of the decomposition, and ``split_joint``
+and ``signed_sum``, which build the parser's checked lines;
+``permutes_to`` compares a permuted image without building it.
 
 Storage rule: a Polynomial keeps its coefficients privately, in
 ``_terms``, as elements of its ring: a plain ``int`` over Z and a
@@ -32,21 +33,23 @@ division follows the leading-term division algorithm, which succeeds if
 and only if the divisor divides the dividend.
 
 ``determinant`` picks one of three routes from the matrix alone: a
-matrix of ints is eliminated over plain ints (``_bareiss_int``); a
-Coefficient matrix whose Kronecker packing fits in ``PACKED_MAX_BITS``
-bits is packed into plain ints, eliminated once by ``_bareiss_int`` and
-read back (``_determinant_packed``), and so is a parameter-free one,
-whose one-point degree box packs nothing, at any width; any other
-symbolic matrix of at most ``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes
-to the division-free ``determinant_minors``, and a larger one to the
-fraction-free ``determinant_bareiss``.  Both Bareiss loops pivot in
-each column on the smallest nonzero entry (fewest bits, or fewest
-terms), and packing sizes its digits by Hadamard's bound.  Both caps
-are measured.  Packing makes every entry an integer as long as the
-determinant's degree box times its coefficient width, so it wins for
-few parameters and low degrees and loses badly past the cap.  On
-random Macaulay numerators over three parameters minor expansion beat
-Bareiss at 12 rows and lost or tied at 14.  ``determinant_cofactor``,
+matrix of ints is eliminated over plain ints (``_bareiss_int``); any
+other of at most ``MINORS_FIRST_MAX_DIM`` = 3 rows goes to the
+division-free ``determinant_minors``; a Coefficient matrix whose
+Kronecker packing fits in ``PACKED_MAX_BITS`` bits is packed into plain
+ints, eliminated once by ``_bareiss_int`` and read back
+(``_determinant_packed``), and so is a parameter-free one, whose
+one-point degree box packs nothing, at any width; any other symbolic
+matrix of at most ``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes to
+``determinant_minors`` too, and a larger one to the fraction-free
+``determinant_bareiss``.  Both Bareiss loops pivot in each column on
+the smallest nonzero entry (fewest bits, or fewest terms), and packing
+sizes its digits by Hadamard's bound.  All three caps are measured.
+Packing makes every entry an integer as long as the determinant's
+degree box times its coefficient width, so it wins for few parameters
+and low degrees and loses badly past the cap.  On random Macaulay
+numerators over three parameters minor expansion beat Bareiss at 12
+rows and lost or tied at 14.  ``determinant_cofactor``,
 ``determinant_minors`` and ``determinant_bareiss`` stay public as test
 oracles.
 
@@ -61,7 +64,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import product
-from operator import add, sub
+from operator import add, eq, itemgetter, sub
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
@@ -126,14 +129,15 @@ def _exact(a, b):
 # for a Polynomial over Z[params].  A product of nonzero coefficients is
 # nonzero, so only sums are tested.
 
-def _accumulate(out: dict, items) -> dict:
-    """Add each (exponent, coefficient) pair of ``items`` into ``out``."""
+def _accumulate(out: dict, items, negate: bool = False) -> dict:
+    """Add each (exponent, coefficient) pair of ``items`` into ``out``, or
+    subtract it when ``negate``."""
     for exp, c in items:
         v = out.get(exp)
         if v is None:
-            out[exp] = c
+            out[exp] = -c if negate else c
         else:
-            v = v + c
+            v = v - c if negate else v + c
             if v:
                 out[exp] = v
             else:
@@ -141,8 +145,8 @@ def _accumulate(out: dict, items) -> dict:
     return out
 
 
-def _add(a: dict, b: dict) -> dict:
-    return _accumulate(dict(a), b.items())
+def _add(a: dict, b: dict, negate: bool = False) -> dict:
+    return _accumulate(dict(a), b.items(), negate)
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -317,7 +321,7 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._trusted(self.ring, _add(self.terms, other.terms, True))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -510,7 +514,7 @@ class Polynomial:
             raise ValueError(
                 f"ambient mismatch: {self.ambient} vs {other.ambient}")
 
-    def __add__(self, other):
+    def __add__(self, other, negate: bool = False):
         if isinstance(other, int) and other == 0:
             return self
         if not isinstance(other, Polynomial):
@@ -521,7 +525,7 @@ class Polynomial:
                 f"degree mismatch: {self.degree} vs {other.degree}")
         degree = self.degree if self else other.degree
         return Polynomial._trusted(self.ring, self.ambient, degree,
-                                   _add(self._terms, other._terms))
+                                   _add(self._terms, other._terms, negate))
 
     __radd__ = __add__
 
@@ -530,11 +534,7 @@ class Polynomial:
                                    {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __mul__(self, other):
         if isinstance(other, Coefficient):
@@ -621,7 +621,8 @@ class Polynomial:
         """x_i replaced by y_{target[i]}, in ``ambient`` variables y.
 
         Terms that land on one monomial are added, so a map that sends
-        several variables to one y collapses them.
+        several variables to one y collapses them, over Z[params] as
+        plain term dicts, each sum wrapped once.
         """
         if len(target) != self.ambient or any(
                 not 0 <= t < ambient for t in target):
@@ -635,14 +636,37 @@ class Polynomial:
                 if e:
                     img[t] += e
             images.append((tuple(img), c))
-        terms = _accumulate({}, images)
-        return Polynomial._trusted(self.ring, ambient, self.degree, terms)
+        ring = self.ring
+        if not ring.params or len(set(target)) == len(target):
+            terms = _accumulate({}, images)
+        else:
+            sums: Dict[Monomial, dict] = {}
+            for img, c in images:
+                _accumulate(sums.setdefault(img, {}), c.terms.items())
+            terms = {img: Coefficient._trusted(ring, t)
+                     for img, t in sums.items() if t}
+        return Polynomial._trusted(ring, ambient, self.degree, terms)
 
     def permute(self, sigma: Sequence[int]):
         """Apply a variable permutation: x_i is replaced by x_{sigma(i)}."""
         if sorted(sigma) != list(range(self.ambient)):
             raise ValueError(f"not a permutation of the ambient: {sigma!r}")
         return self.relabel(sigma, self.ambient)
+
+    def permutes_to(self, sigma: Sequence[int], other) -> bool:
+        """Whether ``self.permute(sigma) == other``, with each permuted
+        exponent tuple looked up in ``other``'s terms: nothing is built."""
+        n, mine = self.ambient, self._terms
+        if sorted(sigma) != list(range(n)):
+            raise ValueError(f"not a permutation of the ambient: {sigma!r}")
+        if not isinstance(other, Polynomial) or other.ambient != n or (
+                self.ring is not other.ring and self.ring != other.ring) \
+                or len(other._terms) != len(mine):
+            return False
+        inverse = sorted(range(n), key=sigma.__getitem__)
+        image = itemgetter(*inverse) if n > 1 else tuple
+        return all(map(eq, map(other._terms.get, map(image, mine)),
+                       mine.values()))
 
     def derivative(self, i: int):
         if not 0 <= i < self.ambient:
@@ -682,6 +706,17 @@ class Polynomial:
             f"{e}: {c!r}" for e, c in sorted(self.terms.items(),
                                              reverse=True))
         return f"Polynomial<n={self.ambient}, d={self.degree}, {items or '0'}>"
+
+
+def signed_sum(first: Coefficient,
+               rest: Sequence[Tuple[bool, Coefficient]]) -> Coefficient:
+    """``first`` plus each Coefficient of ``rest``, negated where its flag
+    is set, added into one new term dict: no partial sum or negated copy
+    is built, and no operand changes."""
+    out = dict(first.terms)
+    for negate, c in rest:
+        _accumulate(out, first._coerce(c).terms.items(), negate)
+    return Coefficient._trusted(first.ring, out)
 
 
 def split_joint(value: Coefficient, ambient: int, ring: ParameterRing,
@@ -880,6 +915,14 @@ def _bareiss_int(rows: list) -> int:
 # and 9.0 s.
 MINOR_EXPANSION_MAX_DIM = 12
 
+# Largest symbolic matrix sent to minor expansion before packing is
+# tried.  On the 145 distinct symbolic determinants of the seed-5
+# benchmark inputs (pure CPython, best of 5) minor expansion was faster
+# on all 33 of one row (median 0.0014 ms against 0.017 ms packed) and
+# all 54 of three rows (0.030 ms against 0.052 ms), and packing on 33 of
+# the 35 of five rows (0.14 ms against 0.33 ms).
+MINORS_FIRST_MAX_DIM = 3
+
 # Longest Kronecker packing, in bits, sent to one int elimination.  Timed
 # against minor expansion and Bareiss on every symbolic determinant of the
 # tests and of the benchmark workloads (pure CPython).  Up to 24.4k bits
@@ -970,9 +1013,10 @@ def determinant(m):
     The branch is chosen from the matrix alone:
 
       1. A matrix of plain ints is eliminated by ``_bareiss_int`` and
-         its value is an int.
-      2. A Coefficient matrix whose Kronecker packing (degree box times
-         coefficient width) has at most ``PACKED_MAX_BITS`` bits is
+         its value is an int.  Any other of at most
+         ``MINORS_FIRST_MAX_DIM`` rows goes to ``determinant_minors``.
+      2. A larger Coefficient matrix whose Kronecker packing (degree
+         box times coefficient width) has at most ``PACKED_MAX_BITS`` bits is
          packed into plain ints, eliminated once by ``_bareiss_int``
          and unpacked by ``_determinant_packed``.  Past that cap the
          big-int products cost more than the symbolic routes.  A
@@ -986,6 +1030,8 @@ def determinant(m):
     rows = _as_rows(m)
     if all(isinstance(x, int) for row in rows for x in row):
         return _bareiss_int(rows)
+    if len(rows) <= MINORS_FIRST_MAX_DIM:
+        return determinant_minors(rows)
     packed = _determinant_packed(rows)
     if packed is not None:
         return packed

@@ -1,5 +1,7 @@
 """End-to-end command-line runs through main()."""
 
+from itertools import combinations
+
 import pytest
 
 from symres import cli
@@ -362,3 +364,44 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
         assert cli.main(["resultant", linear_file]) == 0
         assert capsys.readouterr().out == "a^3 + 3*a^2*b\n"
+
+
+def _e_sum(p, n):
+    """The expanded elementary symmetric e_p of x1..xn, in parentheses."""
+    return "(" + " + ".join("*".join(f"x{i + 1}" for i in chosen)
+                            for chosen in combinations(range(n), p)) + ")"
+
+
+# A (12,2) two-parameter system written as its expanded e-sums, so every
+# line repeats the groups the parser reads once; the expected output was
+# captured before repeated groups were tokenized as one token and
+# equivariance was checked in place.
+WIDE_TWO_PARAMETER = "n=12 d=2 params=a,b\n" + "".join(
+    f"a*x{i}^2 + b*x{i}*{_e_sum(1, 12)} - {_e_sum(2, 12)}"
+    f" - 2*{_e_sum(1, 12)}*{_e_sum(1, 12)}\n" for i in range(1, 13))
+
+WIDE_FACTORS = [
+    ("(12)", 1, "a + 12*b - 354"),
+    ("(11,1)", 12, "a^3 + 12*a^2*b - 244*a^2 + 11*a*b^2 + 22*a*b + 66*b^2"),
+    ("(10,2)", 66, "a^3 + 12*a^2*b - 154*a^2 + 20*a*b^2 + 40*a*b + 120*b^2"),
+    ("(9,3)", 220, "a^3 + 12*a^2*b - 84*a^2 + 27*a*b^2 + 54*a*b + 162*b^2"),
+    ("(8,4)", 495, "a^3 + 12*a^2*b - 34*a^2 + 32*a*b^2 + 64*a*b + 192*b^2"),
+    ("(7,5)", 792, "a^3 + 12*a^2*b - 4*a^2 + 35*a*b^2 + 70*a*b + 210*b^2"),
+    ("(6,6)", 462, "a^3 + 12*a^2*b + 6*a^2 + 36*a*b^2 + 72*a*b + 216*b^2"),
+]
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", "prefactor: a^18434\n" + "".join(
+        f"lambda {lam}: multiplicity {m}: {v}\n" for lam, m, v in WIDE_FACTORS)),
+    ("json", '{\n  "prefactor": "a^18434",\n  "factors": [\n' + ",\n".join(
+        f'    {{\n      "expr": "{v}",\n      "multiplicity": {m}\n    }}'
+        for _, m, v in WIDE_FACTORS) + "\n  ]\n}\n"),
+])
+def test_wide_two_parameter_decompose_is_byte_stable(tmp_path, capsys, fmt,
+                                                    expected):
+    path = tmp_path / "wide.sys"
+    path.write_text(WIDE_TWO_PARAMETER)
+    assert cli.main(["decompose", str(path), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")

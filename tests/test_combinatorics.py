@@ -42,6 +42,15 @@ def test_partitions_max_length_filter():
     assert [p.parts for p in partitions(1)] == [(1,)]
 
 
+def test_max_length_generates_the_filtered_list():
+    """Generating only the short partitions keeps the full list's order."""
+    for n in range(1, 16):
+        full = [p.parts for p in partitions(n)]
+        for length in range(1, n + 2):
+            got = [p.parts for p in partitions(n, max_length=length)]
+            assert got == [parts for parts in full if len(parts) <= length]
+
+
 def test_partition_counts():
     # number of partitions of n = 1..10
     expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

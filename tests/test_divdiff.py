@@ -1,10 +1,12 @@
 """Divided-difference tables, covariance, and the determinant route."""
 
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
 
+import symres.ring as ring_module
 from symres.divdiff import (
     DividedDifferenceTable,
     EquivarianceError,
@@ -148,15 +150,32 @@ class TestCheckEquivariance:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_makes_2n_minus_3_permutations(self, monkeypatch, n):
+        """2n - 3 term-by-term comparisons, and no function that builds a
+        Polynomial runs."""
+        polys = power_system(n, 2)
         calls = []
-        permute = Polynomial.permute
+        permutes_to = Polynomial.permutes_to
 
-        def counting(p, sigma):
+        def counting(p, sigma, other):
             calls.append(sigma)
-            return permute(p, sigma)
-        monkeypatch.setattr(Polynomial, "permute", counting)
-        assert check_equivariance(power_system(n, 2)).ok
+            return permutes_to(p, sigma, other)
+        monkeypatch.setattr(Polynomial, "permutes_to", counting)
+        builders = {"__init__", "_trusted", "relabel", "permute"}
+        built = []
+
+        def watch(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name in builders \
+                    and code.co_filename == ring_module.__file__:
+                built.append(code.co_name)
+        sys.setprofile(watch)
+        try:
+            report = check_equivariance(polys)
+        finally:
+            sys.setprofile(None)
+        assert report.ok
         assert len(calls) == 2 * n - 3
+        assert built == []
 
     def test_linear_form_example_is_not_equivariant(self):
         assert not check_equivariance(linform_system()).ok

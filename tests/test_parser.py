@@ -87,6 +87,12 @@ SYSTEM_FILE_ERRORS = [
      "line 4: variable 'x4' outside ambient 1..3", 34),
     (f"x3*{_G1} + a*(x1*x2 + x1*x3 + x2*x3",
      "line 4: expected ')', found 'end'", 44),
+    # a group the memo holds, read as one token, at the error: it is
+    # named by its '(' as when it was tokenized in full
+    (f"x3^{_G1} + a*x3^2", "line 4: expected 'int', found '('", 3),
+    (f"x3*{_G1}{_G1}", "line 4: trailing input '('", 17),
+    (f"x3 {_G1}", "line 4: trailing input '('", 3),
+    (f"{_G1}^{_G1}", "line 4: expected 'int', found '('", 15),
 ]
 
 

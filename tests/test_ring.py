@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -434,6 +434,105 @@ def test_permute_composition():
         assert p.permute(tau).permute(sigma) == p.permute(comp)
 
 
+PERMUTE_RINGS = (ParameterRing(), ParameterRing(("a", "b")))
+
+
+@st.composite
+def polynomials(draw):
+    """A Polynomial over Z or Z[a, b] in 1-4 variables, possibly zero."""
+    ring = draw(st.sampled_from(PERMUTE_RINGS))
+    ambient = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exp = [0] * ambient
+        for _ in range(degree):
+            exp[rng.randrange(ambient)] += 1
+        terms[tuple(exp)] = random_coefficient(rng, ring)
+    return Polynomial(ring, ambient, degree, terms)
+
+
+def near_miss(q, kind, rng):
+    """``q`` with one coefficient changed, a term added or dropped, or
+    moved to another ring of the same width; None when ``kind`` cannot
+    change ``q``."""
+    terms = dict(q.terms)
+    one = q.ring.one()
+    if kind == "coefficient" and terms:
+        exp = rng.choice(sorted(terms))
+        terms[exp] = terms[exp] + (q.ring.parameter("a") if q.ring.params
+                                   else one)
+    elif kind == "extra":
+        free = [e for e in product(range(q.degree + 1), repeat=q.ambient)
+                if sum(e) == q.degree and e not in terms]
+        if not free:
+            return None
+        terms[rng.choice(free)] = one
+    elif kind == "missing" and terms:
+        del terms[rng.choice(sorted(terms))]
+    elif kind == "ring":
+        other = ParameterRing(("c",) + q.ring.params[1:]) if q.ring.params \
+            else ParameterRing(("c",))
+        return Polynomial(other, q.ambient, q.degree, {
+            e: Coefficient(other, c.terms if q.ring.params else
+                           {(0,): c.constant_value()})
+            for e, c in terms.items()})
+    else:
+        return None
+    out = Polynomial(q.ring, q.ambient, q.degree, terms)
+    return None if out == q else out
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.randoms(use_true_random=False),
+       st.sampled_from(("coefficient", "extra", "missing", "ring")))
+def test_permutes_to_matches_permute(p, rng, kind):
+    sigma = list(range(p.ambient))
+    rng.shuffle(sigma)
+    q = p.permute(sigma)
+    assert p.permutes_to(sigma, q)
+    assert p.permutes_to(sigma, p) == (q == p)
+    miss = near_miss(q, kind, rng)
+    if miss is not None:
+        assert not p.permutes_to(sigma, miss)
+        assert (p.permute(sigma) == miss) is False
+    assert not p.permutes_to(sigma, 0)
+
+
+def test_permutes_to_rejects_a_non_permutation():
+    p = Polynomial.variable(ParameterRing(), 3, 0)
+    for sigma in ([0, 0, 1], [0, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            p.permutes_to(sigma, p)
+
+
+def relabel_by_sums(p, target, ambient):
+    """``relabel`` as a sum of one monomial per term: the oracle."""
+    out = Polynomial.zero(p.ring, ambient, p.degree)
+    for exp, c in p.terms.items():
+        img = [0] * ambient
+        for t, e in zip(target, exp):
+            img[t] += e
+        out = out + Polynomial.monomial(p.ring, ambient, tuple(img), c)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_relabel_matches_a_sum_of_monomials(p, ambient, rng):
+    """Collapsing maps and permutations alike; the operand is left as it
+    was, and every stored coefficient is a nonzero element of the ring."""
+    target = [rng.randrange(ambient) for _ in range(p.ambient)]
+    before = {e: (c, dict(c.terms)) for e, c in p.terms.items()}
+    got = p.relabel(target, ambient)
+    assert got == relabel_by_sums(p, target, ambient)
+    assert (got.ambient, got.degree) == (ambient, p.degree)
+    kind = Coefficient if p.ring.params else int
+    assert all(type(c) is kind and c for c in got.stored_terms.values())
+    assert {e: (c, dict(c.terms)) for e, c in p.terms.items()} == before
+
+
 def test_derivative():
     ring = ParameterRing(("a",))
     a = ring.parameter("a")
@@ -551,12 +650,13 @@ def test_constant_coefficient_matrix_lifts_back(rows):
 
 
 def test_constant_matrix_past_the_cap_packs_nothing(monkeypatch):
-    """A parameter-free matrix over Z[t] whose Hadamard bound passes
-    2^15 bits has the one-point degree box: one int elimination and no
-    symbolic route."""
+    """A parameter-free matrix over Z[t] of more than three rows whose
+    Hadamard bound passes 2^15 bits has the one-point degree box: one
+    int elimination and no symbolic route."""
     big = 1 << 20000
     rows = [[T.constant(x) for x in row]
-            for row in ((big, 3, 0), (5, big + 1, -7), (0, 2, big))]
+            for row in ((big, 3, 0, 1), (5, big + 1, -7, 0), (0, 2, big, 4),
+                        (1, 0, -2, big))]
     calls = []
     real = ring_module._bareiss_int
 
@@ -571,7 +671,7 @@ def test_constant_matrix_past_the_cap_packs_nothing(monkeypatch):
     monkeypatch.setattr(ring_module, "determinant_minors", refuse)
     monkeypatch.setattr(ring_module, "determinant_bareiss", refuse)
     value = determinant(rows)
-    assert calls == [3]
+    assert calls == [4]
     monkeypatch.undo()
     assert value == determinant_cofactor(rows)
 
@@ -791,10 +891,10 @@ def test_minor_expansion_drops_zero_minors(monkeypatch):
 
 
 def test_determinant_dispatch(monkeypatch):
-    """Ints go to the int loop, Coefficient matrices whose packing fits
-    the cap (constant ones always do) to one packed int elimination,
-    larger symbolic ones of up to 12 rows to minor expansion and the
-    rest to Bareiss."""
+    """Ints go to the int loop, other matrices of 1-3 rows to minor
+    expansion, Coefficient matrices whose packing fits the cap (constant
+    ones always do) to one packed int elimination, larger symbolic ones
+    of up to 12 rows to minor expansion and the rest to Bareiss."""
     seen = []
     for name in ("determinant_minors", "determinant_bareiss", "_bareiss_int",
                  "_determinant_packed"):
@@ -827,6 +927,23 @@ def test_determinant_dispatch(monkeypatch):
     seen.clear()
     assert determinant(diagonal(12, lambda i: i + 2)) == prod(range(2, 14))
     assert seen == [("_bareiss_int", 12)]
+    s, t = ST.parameter("s"), ST.parameter("t")
+    for n in (1, 2, 3):
+        for entry in (lambda i: s * (i + 1) - t, lambda i: T.constant(i + 2),
+                      lambda i: i + 2):
+            seen.clear()
+            rows = diagonal(n, entry)
+            if n > 1:  # upper triangular
+                rows[0][-1] = entry(n)
+            value = determinant(rows)
+            route = "_bareiss_int" if isinstance(entry(0), int) \
+                else "determinant_minors"
+            assert seen == [(route, n)]
+            assert value == prod(map(entry, range(n)), start=entry(0) ** 0)
+    seen.clear()
+    assert determinant(diagonal(4, lambda i: T.constant(i + 2))) == \
+        T.constant(120)
+    assert seen == [("_determinant_packed", 4), ("_bareiss_int", 4)]
     seen.clear()
     assert determinant(diagonal(12, lambda i: T.constant(i + 2))) == \
         T.constant(prod(range(2, 14)))
