@@ -57,23 +57,41 @@ def partitions(n: int, max_length: Optional[int] = None) -> List[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first.
 
     With ``max_length`` only partitions of at most that many parts are
-    generated: no first part below n / max_length is tried.
+    generated: a prefix whose shortest completion is too long is skipped.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if max_length is not None and max_length < 1:
         raise ValueError("max_length must be at least 1")
-
-    def bounded(total: int, cap: int, length: int):
-        """Partitions of total into at most length parts of at most cap."""
-        if not total:
-            yield ()
-            return
-        for first in range(min(total, cap), -(-total // length) - 1, -1):
-            for rest in bounded(total - first, first, length - 1):
-                yield (first,) + rest
-
-    return [Partition(parts) for parts in bounded(n, n, max_length or n)]
+    out: List[Partition] = []
+    limit = max_length or n
+    parts = [n]
+    while True:
+        out.append(Partition(tuple(parts)))
+        # find the rightmost part that can still shrink and leave a short
+        # enough completion; rem is the sum of the parts after k
+        k = len(parts) - 1
+        rem = 0
+        while True:
+            while k >= 0 and parts[k] == 1:
+                k -= 1
+                rem += 1
+            if k < 0:
+                return out
+            cap = parts[k] - 1
+            rem += 1
+            # the greedy refill is the shortest completion of parts[:k] + [cap]
+            if k + 1 + -(-rem // cap) <= limit:
+                break
+            rem += cap
+            k -= 1
+        parts[k] = cap
+        del parts[k + 1:]
+        # refill greedily with parts no larger than parts[k]
+        while rem:
+            take = min(cap, rem)
+            parts.append(take)
+            rem -= take
 
 
 def basis_partitions(n: int, d: int) -> List[Partition]:

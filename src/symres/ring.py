@@ -514,7 +514,9 @@ class Polynomial:
             raise ValueError(
                 f"ambient mismatch: {self.ambient} vs {other.ambient}")
 
-    def __add__(self, other, negate: bool = False):
+    def _combine(self, other, negate: bool):
+        """``self + other``, or ``self - other`` when ``negate``, with no
+        negated copy of ``other``."""
         if isinstance(other, int) and other == 0:
             return self
         if not isinstance(other, Polynomial):
@@ -527,6 +529,9 @@ class Polynomial:
         return Polynomial._trusted(self.ring, self.ambient, degree,
                                    _add(self._terms, other._terms, negate))
 
+    def __add__(self, other):
+        return self._combine(other, False)
+
     __radd__ = __add__
 
     def __neg__(self):
@@ -534,7 +539,7 @@ class Polynomial:
                                    {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self.__add__(other, True)
+        return self._combine(other, True)
 
     def __mul__(self, other):
         if isinstance(other, Coefficient):
@@ -637,7 +642,7 @@ class Polynomial:
                     img[t] += e
             images.append((tuple(img), c))
         ring = self.ring
-        if not ring.params or len(set(target)) == len(target):
+        if not ring.params:
             terms = _accumulate({}, images)
         else:
             sums: Dict[Monomial, dict] = {}

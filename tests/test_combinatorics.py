@@ -46,6 +46,7 @@ def test_max_length_generates_the_filtered_list():
     """Generating only the short partitions keeps the full list's order."""
     for n in range(1, 16):
         full = [p.parts for p in partitions(n)]
+        assert full == sorted(set(full), reverse=True)
         for length in range(1, n + 2):
             got = [p.parts for p in partitions(n, max_length=length)]
             assert got == [parts for parts in full if len(parts) <= length]
