@@ -150,13 +150,3 @@ def m_zero_discriminant(n: int, d: int) -> int:
     if not 2 <= d <= n:
         raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
     return m_zero_resultant(n, d - 1)
-
-
-def degree_identity_check(n: int, d: int) -> bool:
-    """Whether the partition factors exhaust the full coefficient degree
-    n*d^(n-1) when d >= n (so that no extra constant factor is needed)."""
-    if not 2 <= n <= d:
-        raise ValueError(f"need 2 <= n <= d, got n={n}, d={d}")
-    total = sum(m_lambda(lam) * chain_coefficient_degree(d, lam.length)
-                for lam in partitions(n))
-    return total == n * d ** (n - 1)

@@ -12,16 +12,19 @@ recurrence that peels off the two largest indices,
     F^I = (F^{I minus p} - F^{I minus q}) / (x_q - x_p)
 
 with p = k and q = k - 1; both inputs have order k - 1, the first is
-canonical and the second its image under a permutation.  The bordered
-Vandermonde determinant route is kept as an independent cross-check; it
-only needs the pairwise condition F^{i} - F^{j} in (x_i - x_j), not full
-equivariance, which is why it works on plain polynomial lists.
+canonical and the second its image under the swap s of x_p and x_q, so
+F^I = (P - s(P)) / (x_q - x_p) for the canonical P, which
+``Polynomial.divided_difference`` forms term by term with no division.
+The bordered Vandermonde determinant route is kept as an independent
+cross-check; it only needs the pairwise condition F^{i} - F^{j} in
+(x_i - x_j), not full equivariance, which is why it works on plain
+polynomial lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from symres.ring import (
     Coefficient,
@@ -67,24 +70,31 @@ def check_equivariance(polys: Sequence[Polynomial]) -> EquivarianceReport:
     """Verify sigma(F^i) = F^{sigma(i)} for every permutation sigma.
 
     With s_k the swap of k and k + 1, it checks s_k(F^k) = F^{k+1} for
-    k = 0..n-2, then s_k(F^0) = F^0 for k = 1..n-2: 2n - 3 permutations
-    in all.  That suffices.  F^i is the image of F^0 under
-    pi_i = s_{i-1}...s_0, which takes 0 to i, and the swaps s_1..s_{n-2}
-    generate the stabilizer of 0, which fixes F^0.  For any sigma,
+    k = 0..n-2, then that F^0 is fixed by the swap (1 2) and the cycle
+    (1 2 ... n-1), one check when they coincide (n = 3) and none for
+    n = 2: n - 1 + min(2, n - 2) permutations in all.  That suffices.
+    F^i is the image of F^0 under pi_i = s_{i-1}...s_0, which takes 0
+    to i, and the two generate the stabilizer of 0, the symmetric group
+    on 1..n-1, which therefore fixes F^0.  For any sigma,
     pi_{sigma(i)}^{-1} sigma pi_i fixes 0, so
     sigma(F^i) = sigma pi_i(F^0) = pi_{sigma(i)}(F^0) = F^{sigma(i)}.
-    Each swap is compared in place, by ``Polynomial.permutes_to``: every
-    swapped exponent tuple is looked up in the other polynomial's terms,
-    and no permuted copy is built.
+    When a generator moves F^0, so does some swap s_k with k >= 1, as
+    those generate the same group, and the first such k is reported.
+    Each permutation is compared in place, by
+    ``Polynomial.permutes_to``: every permuted exponent tuple is looked
+    up in the other polynomial's terms, and no permuted copy is built.
     """
-    n = len(polys)
+    n, first = len(polys), polys[0]
     for k in range(n - 1):
         if not polys[k].permutes_to(_swap(n, k, k + 1), polys[k + 1]):
             return EquivarianceReport(False, (k, k + 1), k)
-    for k in range(1, n - 1):
-        if not polys[0].permutes_to(_swap(n, k, k + 1), polys[0]):
-            return EquivarianceReport(False, (k, k + 1), 0)
-    return EquivarianceReport(True)
+    generators = {(0, 2, 1, *range(3, n)), (0, *range(2, n), 1)} \
+        if n > 2 else ()
+    if all(first.permutes_to(sigma, first) for sigma in generators):
+        return EquivarianceReport(True)
+    k = next(k for k in range(1, n - 1)
+             if not first.permutes_to(_swap(n, k, k + 1), first))
+    return EquivarianceReport(False, (k, k + 1), 0)
 
 
 class EquivariantSystem:
@@ -170,17 +180,21 @@ def divided_difference_determinant(polys: Sequence[Polynomial],
 class DividedDifferenceTable:
     """Divided differences of one equivariant system, one per order.
 
-    The cache holds only the canonical subsets (0..k-1), each computed by
-    one recurrence step; every other subset I of size k is read off by
-    covariance as the canonical value under the permutation I + rest,
-    rest the complement of I in increasing order.  The table is filled
-    lazily, so the decomposition pipeline computes only the orders it
-    reads.
+    The cache holds only the canonical subsets (0..k-1), each one
+    ``Polynomial.divided_difference(k - 1, k - 2)`` of the entry of
+    order k - 1, which covariance makes the recurrence step: the system
+    was checked equivariant when it was built.  Every other subset I of
+    size k is read off by covariance as the canonical value under the
+    permutation I + rest, rest the complement of I in increasing order.
+    The table is filled lazily, so the decomposition pipeline computes
+    only the orders it reads, and ``relabeler`` finds the supports of
+    each canonical entry once for all the chains that collapse it.
     """
 
     def __init__(self, system: EquivariantSystem):
         self.system = system
         self._cache: Dict[Tuple[int, ...], Polynomial] = {}
+        self._relabelers: Dict[int, Callable[..., Polynomial]] = {}
 
     def cached_subsets(self) -> List[Tuple[int, ...]]:
         return sorted(self._cache)
@@ -197,22 +211,22 @@ class DividedDifferenceTable:
         head = tuple(range(k))
         value = self._cache.get(head)
         if value is None:
-            value = self._recurrence_step(head, k - 1, k - 2)
-            self._cache[head] = value
+            value = self._cache[head] = self.divided_difference(
+                head[:-1]).divided_difference(k - 1, k - 2)
         if I == head:
             return value
         chosen = set(I)
         rest = tuple(i for i in range(sys.n) if i not in chosen)
         return value.permute(I + rest)
 
-    def _recurrence_step(self, I: Tuple[int, ...], p: int,
-                         q: int) -> Polynomial:
-        sys = self.system
-        left = self.divided_difference(tuple(i for i in I if i != p))
-        right = self.divided_difference(tuple(i for i in I if i != q))
-        xq = Polynomial.variable(sys.ring, sys.n, q)
-        xp = Polynomial.variable(sys.ring, sys.n, p)
-        return (left - right).exact_div(xq - xp)
+    def relabeler(self, k: int) -> Callable[..., Polynomial]:
+        """``Polynomial.relabeler`` of the canonical F^{(0..k-1)}, made
+        once per table."""
+        fn = self._relabelers.get(k)
+        if fn is None:
+            fn = self._relabelers[k] = self.divided_difference(
+                range(k)).relabeler()
+        return fn
 
     def freeze(self) -> "DividedDifferenceTable":
         """Compute the canonical entry of each order 2..min(d + 1, n)."""
@@ -232,22 +246,3 @@ class DividedDifferenceTable:
             raise ValueError(
                 f"need n >= d + 1 for a constant (n={sys.n}, d={sys.d})")
         return self.divided_difference(range(sys.d + 1)).as_coefficient()
-
-
-def divided_difference_recursive(table: DividedDifferenceTable,
-                                 indices: Iterable[int], p: int,
-                                 q: int) -> Polynomial:
-    """One recurrence step with an arbitrary admissible pair p != q in I.
-
-    Exposed separately from the canonical cached path so the choice
-    independence of the recurrence can be exercised directly.
-    """
-    sys = table.system
-    I = _clean_indices(indices, sys.n)
-    if len(I) < 2:
-        raise ValueError("recurrence needs at least two indices")
-    if p == q or p not in I or q not in I:
-        raise ValueError(f"p={p}, q={q} must be distinct members of {I!r}")
-    if len(I) > sys.d + 1:
-        return Polynomial.zero(sys.ring, sys.n, sys.d - len(I) + 1)
-    return table._recurrence_step(I, p, q)

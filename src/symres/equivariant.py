@@ -94,15 +94,16 @@ def specialize_chain(table: DividedDifferenceTable,
     so this equals the k-th divided difference of the specialized
     system itself.
 
-    Each entry is read off the cached canonical F^{(0..k-1)} by one
-    relabel, with the lead-first blocking: variable j < l heads block j,
-    and the other n - l variables fill the blocks in order, lam_j - 1 of
-    them to block j.  F^{I_k} is the canonical value under a
-    permutation sending 0..k-1 to I_k, so both collapses send variable
-    i < k to block i.  F^{(0..k-1)} is covariant under every permutation
-    fixing 0..k-1, hence symmetric in the other variables, so only how
-    many of those land in each block matters: lam_j - 1 to block j < k
-    and lam_j to block j >= k under either collapse.
+    Each entry is read off the cached canonical F^{(0..k-1)} by its
+    table relabeler, whose term supports are found once per table, with
+    the lead-first blocking: variable j < l heads block j, and the other
+    n - l variables fill the blocks in order, lam_j - 1 of them to block
+    j.  F^{I_k} is the canonical value under a permutation sending
+    0..k-1 to I_k, so both collapses send variable i < k to block i.
+    F^{(0..k-1)} is covariant under every permutation fixing 0..k-1,
+    hence symmetric in the other variables, so only how many of those
+    land in each block matters: lam_j - 1 to block j < k and lam_j to
+    block j >= k under either collapse.
     """
     lam = _as_partition(lam)
     sys = table.system
@@ -113,8 +114,7 @@ def specialize_chain(table: DividedDifferenceTable,
         raise ValueError(f"chain length {l} exceeds degree {sys.d}")
     target = list(range(l)) + [j for j, part in enumerate(lam)
                                for _ in range(part - 1)]
-    return tuple(table.divided_difference(range(k)).relabel(target, l)
-                 for k in range(1, l + 1))
+    return tuple(table.relabeler(k)(target, l) for k in range(1, l + 1))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ and share one term kernel, ``_accumulate``, ``_add``, ``_mul`` and
 ``_divide``; both are true exactly when nonzero, and their arithmetic
 results skip the checks of public construction through the private
 ``_trusted`` constructors.  So do ``substitute``, which computes each
-power of an image once per call, ``relabel``, which serves ``permute``
-and the blockwise collapse of the decomposition, and ``split_joint``
-and ``signed_sum``, which build the parser's checked lines;
+power of an image once per call, ``relabel``, which serves ``permute``,
+``relabeler``, which serves the blockwise collapses of the decomposition
+from term supports found once, ``divided_difference``, which forms
+(P - s(P)) / (x_q - x_p) term by term, and ``split_joint`` and
+``signed_sum``, which build the parser's checked lines;
 ``permutes_to`` compares a permuted image without building it.
 
 Storage rule: a Polynomial keeps its coefficients privately, in
@@ -49,9 +51,8 @@ Packing makes every entry an integer as long as the determinant's
 degree box times its coefficient width, so it wins for few parameters
 and low degrees and loses badly past the cap.  On random Macaulay
 numerators over three parameters minor expansion beat Bareiss at 12
-rows and lost or tied at 14.  ``determinant_cofactor``,
-``determinant_minors`` and ``determinant_bareiss`` stay public as test
-oracles.
+rows and lost or tied at 14.  ``determinant_minors`` and
+``determinant_bareiss`` stay public as test oracles.
 
 ``format_int`` and ``parse_int`` convert ints of any length to and from
 decimal text, so messages and reprs never hit Python's int/str digit
@@ -63,7 +64,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from operator import add, eq, itemgetter, sub
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple, Union
@@ -280,9 +281,6 @@ class Coefficient:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.ring.params): 1}
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -501,10 +499,6 @@ class Polynomial:
             raise ValueError(f"degree {self.degree} polynomial is not a scalar")
         return self._coefficient(self._terms[(0,) * self.ambient])
 
-    def leading_term(self) -> Tuple[Monomial, Coefficient]:
-        exp = max(self._terms)
-        return exp, self._coefficient(self._terms[exp])
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial") -> None:
@@ -641,6 +635,31 @@ class Polynomial:
                 if e:
                     img[t] += e
             images.append((tuple(img), c))
+        return self._summed(images, ambient)
+
+    def relabeler(self):
+        """``relabel`` as a function of (target, ambient), unchecked, for
+        a Polynomial relabelled many times: each term's nonzero
+        (variable, exponent) pairs are found once, here, and a term of
+        degree d has at most d of them, so a call walks those and not
+        all ``self.ambient`` exponents of every term."""
+        support = [(list(compress(enumerate(exp), exp)), c)
+                   for exp, c in self._terms.items()]
+
+        def relabel(target: Sequence[int], ambient: int) -> Polynomial:
+            images = []
+            for pairs, c in support:
+                img = [0] * ambient
+                for i, e in pairs:
+                    img[target[i]] += e
+                images.append((tuple(img), c))
+            return self._summed(images, ambient)
+        return relabel
+
+    def _summed(self, images, ambient: int):
+        """The Polynomial in ``ambient`` variables, of self's ring and
+        degree, that adds up the (exponent, coefficient) pairs
+        ``images``; over Z[params] as plain term dicts."""
         ring = self.ring
         if not ring.params:
             terms = _accumulate({}, images)
@@ -672,6 +691,29 @@ class Polynomial:
         image = itemgetter(*inverse) if n > 1 else tuple
         return all(map(eq, map(other._terms.get, map(image, mine)),
                        mine.values()))
+
+    def divided_difference(self, p: int, q: int):
+        """(self - s(self)) / (x_q - x_p), s the swap of x_p and x_q,
+        term by term with no division (the operator d_pq of Lascoux and
+        Schutzenberger): with m = min(a, b) and g = |a - b|, a term
+        c x_p^a x_q^b R gives c (x_p x_q)^m R h_{g-1}(x_p, x_q), negated
+        when a > b, and h_{g-1}, the sum of the g monomials of degree
+        g - 1 in x_p and x_q, is empty when a = b."""
+        if p == q or not (0 <= p < self.ambient and 0 <= q < self.ambient):
+            raise ValueError(f"need two distinct variable indices: {p}, {q}")
+        gained, lost = [], []
+        for exp, c in self._terms.items():
+            a, b = exp[p], exp[q]
+            if a != b:
+                m, top = min(a, b), max(a, b) - 1
+                img = list(exp)
+                out = lost if a > b else gained
+                for j in range(top - m + 1):
+                    img[p], img[q] = m + j, top - j
+                    out.append((tuple(img), c))
+        return Polynomial._trusted(
+            self.ring, self.ambient, self.degree - 1,
+            _accumulate(_accumulate({}, gained), lost, True))
 
     def derivative(self, i: int):
         if not 0 <= i < self.ambient:
@@ -746,30 +788,6 @@ def _as_rows(m) -> list:
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("entries must form a nonempty square array")
     return rows
-
-
-def determinant_cofactor(m):
-    """Exact determinant by first-row cofactor expansion (small dims)."""
-    rows = _as_rows(m)
-
-    def rec(mat):
-        k = len(mat)
-        if k == 1:
-            return mat[0][0]
-        acc = None
-        for j, entry in enumerate(mat[0]):
-            if not entry:
-                continue
-            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-            piece = entry * rec(minor)
-            if j % 2:
-                piece = -piece
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            return mat[0][0] * 0
-        return acc
-
-    return rec(rows)
 
 
 def determinant_minors(m):

@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import random
 
+from symres.combinatorics import (
+    chain_coefficient_degree,
+    m_lambda,
+    partitions,
+)
 from symres.ring import Coefficient, ParameterRing, Polynomial
 
 
@@ -42,3 +47,65 @@ def random_int_polynomial(rng: random.Random, ambient: int, degree: int,
                           n_terms: int = 4, bound: int = 6) -> Polynomial:
     return random_polynomial(rng, ParameterRing(), ambient, degree,
                              n_terms=n_terms, bound=bound)
+
+
+# -- slow paths kept as test oracles ---------------------------------------
+
+def determinant_cofactor(m):
+    """Exact determinant by first-row cofactor expansion (small dims)."""
+    rows = [list(row) for row in m]
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("entries must form a nonempty square array")
+
+    def rec(mat):
+        k = len(mat)
+        if k == 1:
+            return mat[0][0]
+        acc = None
+        for j, entry in enumerate(mat[0]):
+            if not entry:
+                continue
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            piece = entry * rec(minor)
+            if j % 2:
+                piece = -piece
+            acc = piece if acc is None else acc + piece
+        if acc is None:
+            return mat[0][0] * 0
+        return acc
+
+    return rec(rows)
+
+
+def degree_identity_check(n: int, d: int) -> bool:
+    """Whether the partition factors exhaust the full coefficient degree
+    n*d^(n-1) when d >= n (so that no extra constant factor is needed)."""
+    if not 2 <= n <= d:
+        raise ValueError(f"need 2 <= n <= d, got n={n}, d={d}")
+    total = sum(m_lambda(lam) * chain_coefficient_degree(d, lam.length)
+                for lam in partitions(n))
+    return total == n * d ** (n - 1)
+
+
+def divided_difference_recursive(table, indices, p: int, q: int):
+    """One subtract-and-divide recurrence step,
+    F^I = (F^{I minus p} - F^{I minus q}).exact_div(x_q - x_p), for any
+    pair p != q in I, both inputs read from ``table``: the slow path
+    the table's division-free step is checked against."""
+    system = table.system
+    I = tuple(sorted(indices))
+    if len(I) < 2 or p == q or p not in I or q not in I:
+        raise ValueError(f"p={p}, q={q} must be distinct members of {I!r}")
+    if len(I) > system.d + 1:
+        return Polynomial.zero(system.ring, system.n, system.d - len(I) + 1)
+    left = table.divided_difference(tuple(i for i in I if i != p))
+    right = table.divided_difference(tuple(i for i in I if i != q))
+    xq = Polynomial.variable(system.ring, system.n, q)
+    xp = Polynomial.variable(system.ring, system.n, p)
+    return (left - right).exact_div(xq - xp)
+
+
+def leading_term(p: Polynomial):
+    """The lex-largest exponent of a nonzero ``p`` and its Coefficient."""
+    exp = max(p.terms)
+    return exp, p.terms[exp]

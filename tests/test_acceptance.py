@@ -16,17 +16,19 @@ from math import comb
 
 from test_equivariant import displayed_length_two_factor
 
-from conftest import random_int_polynomial
-from symres.combinatorics import degree_identity_check, falling_quotient, \
-    partitions
+from conftest import (
+    degree_identity_check,
+    divided_difference_recursive,
+    random_int_polynomial,
+)
+from symres.combinatorics import falling_quotient, partitions
 from symres.discriminant import (
     SymmetricPoly,
     discriminant_decomposition,
     discriminant_value,
     partial_derivatives,
 )
-from symres.divdiff import DividedDifferenceTable, \
-    divided_difference_recursive
+from symres.divdiff import DividedDifferenceTable
 from symres.equivariant import (
     averaged_chain_resultant,
     decompose_resultant,

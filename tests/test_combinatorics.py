@@ -8,7 +8,6 @@ import pytest
 from symres.combinatorics import (
     Partition,
     chain_coefficient_degree,
-    degree_identity_check,
     falling_quotient,
     m_lambda,
     m_zero_discriminant,
@@ -16,6 +15,8 @@ from symres.combinatorics import (
     multinomial,
     partitions,
 )
+
+from conftest import degree_identity_check
 
 
 def test_partition_validation():

@@ -10,15 +10,20 @@ import symres.ring as ring_module
 from symres.divdiff import (
     DividedDifferenceTable,
     EquivarianceError,
+    EquivarianceReport,
     EquivariantSystem,
     check_equivariance,
     divided_difference_determinant,
-    divided_difference_recursive,
     vandermonde_product,
 )
-from symres.equivariant import random_integer_equivariant_system
+from symres.equivariant import (
+    generic_equivariant_system,
+    random_integer_equivariant_system,
+)
 from symres.parser import parse_poly
 from symres.ring import NotDivisibleError, ParameterRing, Polynomial
+
+from conftest import divided_difference_recursive
 
 ABCD = ParameterRing(("a", "b", "c", "d"))
 
@@ -109,6 +114,36 @@ def corruptions(rng, polys):
     return [changed, exchanged, chain]
 
 
+def adjacent_swap_scan(polys):
+    """The 2n - 3 swap scan check_equivariance reports by: s_k(F^k) =
+    F^{k+1} for k = 0..n-2, then s_k(F^0) = F^0 for k = 1..n-2, each by
+    a built permuted copy; the first failure as (pair, index), or None."""
+    n = len(polys)
+    for k in range(n - 1):
+        if polys[k].permute(swap(n, k, k + 1)) != polys[k + 1]:
+            return (k, k + 1), k
+    for k in range(1, n - 1):
+        if polys[0].permute(swap(n, k, k + 1)) != polys[0]:
+            return (k, k + 1), 0
+    return None
+
+
+def stabilizer_breaks(polys):
+    """For each u = 1..n-2, the chain F^{k+1} = s_k(F^k) from F^0 plus
+    (x_2 + ... + x_{u+1})^d, which every adjacent swap fixing x_1 fixes
+    except that of x_{u+1} and x_{u+2}, with that swap's 0-based pair
+    (u, u + 1)."""
+    n, d = len(polys), polys[0].degree
+    ring = polys[0].ring
+    for u in range(1, n - 1):
+        block = sum((Polynomial.variable(ring, n, i) for i in range(1, u + 1)),
+                    Polynomial.zero(ring, n, 1))
+        chain = [polys[0] + block ** d]
+        for k in range(n - 1):
+            chain.append(chain[-1].permute(swap(n, k, k + 1)))
+        yield chain, (u, u + 1)
+
+
 class TestCheckEquivariance:
     def test_accepts_symmetric_families(self):
         for polys in (linear_system(4), quadratic_system(3),
@@ -149,9 +184,46 @@ class TestCheckEquivariance:
         assert not check_equivariance(orbit).ok
 
     @pytest.mark.parametrize("n", range(2, 8))
+    def test_reports_what_the_swap_scan_reports(self, n):
+        """Same pair, index and message as the scan, on corruptions and on
+        chains whose F^0 breaks a single swap of its stabilizer."""
+        seen = set()
+        for d in (1, 2, 3):
+            rng = random.Random(f"report:{n}:{d}")
+            polys = random_integer_equivariant_system(rng, n, d).polys
+            bad = corruptions(rng, polys)
+            for chain, pair in stabilizer_breaks(polys):
+                assert adjacent_swap_scan(chain) == (pair, 0)
+                bad.append(chain)
+            for system in bad:
+                report = check_equivariance(system)
+                want = adjacent_swap_scan(system)
+                if want is None:
+                    assert report == EquivarianceReport(True)
+                    continue
+                assert report == EquivarianceReport(False, *want)
+                seen.add(want)
+        # every stabilizer swap of F^0 is reported somewhere
+        assert {(k, k + 1) for k in range(1, n - 1)} <= \
+            {pair for pair, index in seen if index == 0}
+
+    def test_stabilizer_swap_message(self):
+        # F^0 of an n = 6 system made asymmetric in x4 and x5 alone
+        polys = random_integer_equivariant_system(
+            random.Random("x4x5"), 6, 2).polys
+        chain = dict((pair, c) for c, pair in stabilizer_breaks(polys))[(3, 4)]
+        report = check_equivariance(chain)
+        assert (report.transposition, report.index) == ((3, 4), 0)
+        assert report.describe() == ("swapping x4 and x5 does not map "
+                                     "polynomial 1 to polynomial 1")
+        with pytest.raises(EquivarianceError, match=report.describe()):
+            EquivariantSystem(chain)
+
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_makes_2n_minus_3_permutations(self, monkeypatch, n):
-        """2n - 3 term-by-term comparisons, and no function that builds a
-        Polynomial runs."""
+        """n - 1 + min(2, n - 2) term-by-term comparisons (2n - 3 up to
+        n = 4, fewer past it), and no function that builds a Polynomial
+        runs."""
         polys = power_system(n, 2)
         calls = []
         permutes_to = Polynomial.permutes_to
@@ -174,7 +246,7 @@ class TestCheckEquivariance:
         finally:
             sys.setprofile(None)
         assert report.ok
-        assert len(calls) == 2 * n - 3
+        assert len(calls) == n - 1 + min(2, n - 2)
         assert built == []
 
     def test_linear_form_example_is_not_equivariant(self):
@@ -295,6 +367,28 @@ class TestRecurrenceChoice:
             divided_difference_recursive(table, (0, 1), 0, 2)
         with pytest.raises(ValueError):
             divided_difference_recursive(table, (1,), 1, 1)
+
+
+class TestDivisionFreeStep:
+    """Each canonical entry is one ``Polynomial.divided_difference``; it
+    must equal the subtract-and-divide recurrence for every admissible
+    pair and the bordered Vandermonde determinant."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_entries_match_both_slow_paths(self, n, d):
+        integer = random_integer_equivariant_system(
+            random.Random(f"step:{n}:{d}"), n, d).polys
+        for polys in (integer, generic_equivariant_system(n, d).polys):
+            table = DividedDifferenceTable(EquivariantSystem(polys)).freeze()
+            assert len(table.cached_subsets()) == min(d + 1, n) - 1
+            for I in table.cached_subsets():
+                want = table.divided_difference(I)
+                assert want.degree == d - len(I) + 1
+                assert divided_difference_determinant(polys, I) == want
+                for p, q in permutations(I, 2):
+                    got = divided_difference_recursive(table, I, p, q)
+                    assert got == want, (n, d, I, p, q)
 
 
 class TestCovariance:

@@ -5,9 +5,10 @@ from itertools import permutations, product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import symres.ring as ring_module
+from symres.combinatorics import partitions
 from symres.divdiff import divided_difference_determinant, vandermonde_product
 from symres.ring import (
     Coefficient,
@@ -16,13 +17,18 @@ from symres.ring import (
     Polynomial,
     determinant,
     determinant_bareiss,
-    determinant_cofactor,
     determinant_minors,
     format_int,
     split_joint,
 )
 
-from conftest import random_coefficient, random_int_polynomial, random_polynomial
+from conftest import (
+    determinant_cofactor,
+    leading_term,
+    random_coefficient,
+    random_int_polynomial,
+    random_polynomial,
+)
 
 
 def det_permutation_expansion(rows):
@@ -258,7 +264,7 @@ def assert_clean_polynomial(p: Polynomial) -> None:
         assert_clean(c)
     assert p == Polynomial(p.ring, p.ambient, p.degree, p.terms)
     if p.terms:
-        assert p.leading_term()[0] == max(p.terms, key=lambda e: (sum(e), e))
+        assert leading_term(p)[0] == max(p.terms, key=lambda e: (sum(e), e))
 
 
 @pytest.mark.parametrize("params", [(), ("a",), ("a", "b")])
@@ -304,7 +310,7 @@ def test_public_polynomial_construction_still_checks():
 def test_leading_term_graded_lex():
     ring = ParameterRing()
     p = Polynomial(ring, 3, 2, {(0, 1, 1): 1, (1, 0, 1): 2, (0, 0, 2): 3})
-    exp, c = p.leading_term()
+    exp, c = leading_term(p)
     assert exp == (1, 0, 1) and c == 2
 
 
@@ -531,6 +537,55 @@ def test_relabel_matches_a_sum_of_monomials(p, ambient, rng):
     kind = Coefficient if p.ring.params else int
     assert all(type(c) is kind and c for c in got.stored_terms.values())
     assert {e: (c, dict(c.terms)) for e, c in p.terms.items()} == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.randoms(use_true_random=False))
+def test_relabeler_collapses_like_relabel_for_every_partition(p, rng):
+    """One relabeler serves every blockwise collapse of p, with the
+    lead-first blocking of the chains and the plain one of rho_lambda,
+    and any other map."""
+    collapse = p.relabeler()
+    maps = [[rng.randrange(2) for _ in range(p.ambient)]]
+    for lam in partitions(p.ambient):
+        maps.append(list(range(lam.length)) + [
+            j for j, part in enumerate(lam) for _ in range(part - 1)])
+        maps.append([j for j, part in enumerate(lam) for _ in range(part)])
+    for target in maps:
+        ambient = max(target) + 1
+        got = collapse(target, ambient)
+        assert got == p.relabel(target, ambient)
+        assert (got.ambient, got.degree) == (ambient, p.degree)
+        kind = Coefficient if p.ring.params else int
+        assert all(type(c) is kind and c for c in got.stored_terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.randoms(use_true_random=False))
+def test_divided_difference_matches_exact_division(p, rng):
+    assume(p.ambient >= 2)
+    i, j = rng.sample(range(p.ambient), 2)
+    xi, xj = (Polynomial.variable(p.ring, p.ambient, k) for k in (i, j))
+    sigma = list(range(p.ambient))
+    sigma[i], sigma[j] = j, i
+    got = p.divided_difference(i, j)
+    assert got == (p - p.permute(sigma)).exact_div(xj - xi)
+    assert (got.ambient, got.degree) == (p.ambient, p.degree - 1)
+    kind = Coefficient if p.ring.params else int
+    assert all(type(c) is kind and c for c in got.stored_terms.values())
+
+
+def test_divided_difference_of_a_term():
+    # x1^3 x2 x3 under d_12: -(x1 x2) h_1(x1, x2) x3
+    ring = ParameterRing()
+    p = Polynomial.monomial(ring, 3, (3, 1, 1), 5)
+    want = Polynomial(ring, 3, 4, {(2, 1, 1): -5, (1, 2, 1): -5})
+    assert p.divided_difference(0, 1) == want
+    assert p.divided_difference(1, 0) == -want
+    assert p.divided_difference(1, 2).is_zero()
+    for i, j in ((0, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            p.divided_difference(i, j)
 
 
 def test_derivative():
