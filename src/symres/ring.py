@@ -13,11 +13,11 @@ and share one term kernel, ``_accumulate``, ``_add``, ``_mul`` and
 ``_divide``; both are true exactly when nonzero, and their arithmetic
 results skip the checks of public construction through the private
 ``_trusted`` constructors.  So do ``substitute``, which computes each
-power of an image once per call, ``relabel``, which serves ``permute``,
-``relabeler``, which serves the blockwise collapses of the decomposition
-from term supports found once, ``divided_difference``, which forms
-(P - s(P)) / (x_q - x_p) term by term, and ``split_joint`` and
-``signed_sum``, which build the parser's checked lines;
+power of an image once per call, ``relabeler``, which serves
+``relabel``, ``permute`` and the blockwise collapses of the
+decomposition from term supports found once, ``divided_difference``,
+which forms (P - s(P)) / (x_q - x_p) term by term, and ``split_joint``
+and ``signed_sum``, which build the parser's checked lines;
 ``permutes_to`` compares a permuted image without building it.
 
 Storage rule: a Polynomial keeps its coefficients privately, in
@@ -623,53 +623,40 @@ class Polynomial:
         several variables to one y collapses them, over Z[params] as
         plain term dicts, each sum wrapped once.
         """
-        if len(target) != self.ambient or any(
-                not 0 <= t < ambient for t in target):
-            raise ValueError(
-                f"not a map of {self.ambient} variables into {ambient}: "
-                f"{target!r}")
-        images = []
-        for exp, c in self._terms.items():
-            img = [0] * ambient
-            for t, e in zip(target, exp):
-                if e:
-                    img[t] += e
-            images.append((tuple(img), c))
-        return self._summed(images, ambient)
+        return self.relabeler()(target, ambient)
 
     def relabeler(self):
-        """``relabel`` as a function of (target, ambient), unchecked, for
-        a Polynomial relabelled many times: each term's nonzero
-        (variable, exponent) pairs are found once, here, and a term of
-        degree d has at most d of them, so a call walks those and not
-        all ``self.ambient`` exponents of every term."""
+        """``relabel`` as a function of (target, ambient), for a
+        Polynomial relabelled many times: each term's nonzero (variable,
+        exponent) pairs are found once, here, and a term of degree d has
+        at most d of them, so a call checks the map and then walks those
+        pairs, not all ``self.ambient`` exponents of every term."""
         support = [(list(compress(enumerate(exp), exp)), c)
                    for exp, c in self._terms.items()]
 
         def relabel(target: Sequence[int], ambient: int) -> Polynomial:
+            if len(target) != self.ambient or min(target) < 0 \
+                    or max(target) >= ambient:
+                raise ValueError(
+                    f"not a map of {self.ambient} variables into "
+                    f"{ambient}: {target!r}")
             images = []
             for pairs, c in support:
                 img = [0] * ambient
                 for i, e in pairs:
                     img[target[i]] += e
                 images.append((tuple(img), c))
-            return self._summed(images, ambient)
+            ring = self.ring
+            if not ring.params:
+                terms = _accumulate({}, images)
+            else:
+                sums: Dict[Monomial, dict] = {}
+                for img, c in images:
+                    _accumulate(sums.setdefault(img, {}), c.terms.items())
+                terms = {img: Coefficient._trusted(ring, t)
+                         for img, t in sums.items() if t}
+            return Polynomial._trusted(ring, ambient, self.degree, terms)
         return relabel
-
-    def _summed(self, images, ambient: int):
-        """The Polynomial in ``ambient`` variables, of self's ring and
-        degree, that adds up the (exponent, coefficient) pairs
-        ``images``; over Z[params] as plain term dicts."""
-        ring = self.ring
-        if not ring.params:
-            terms = _accumulate({}, images)
-        else:
-            sums: Dict[Monomial, dict] = {}
-            for img, c in images:
-                _accumulate(sums.setdefault(img, {}), c.terms.items())
-            terms = {img: Coefficient._trusted(ring, t)
-                     for img, t in sums.items() if t}
-        return Polynomial._trusted(ring, ambient, self.degree, terms)
 
     def permute(self, sigma: Sequence[int]):
         """Apply a variable permutation: x_i is replaced by x_{sigma(i)}."""

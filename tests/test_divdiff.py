@@ -76,6 +76,15 @@ def all_tables():
     return [DividedDifferenceTable(EquivariantSystem(p)) for p in systems]
 
 
+def wide_tables():
+    """Integer and generic symbolic systems, n = 2..7 and d = 1..4."""
+    return [DividedDifferenceTable(EquivariantSystem(polys))
+            for n in range(2, 8) for d in range(1, 5)
+            for polys in (random_integer_equivariant_system(
+                random.Random(f"step:{n}:{d}"), n, d).polys,
+                generic_equivariant_system(n, d).polys)]
+
+
 def all_swaps_equivariant(polys):
     """Every polynomial under every adjacent transposition: n(n-1) checks."""
     n = len(polys)
@@ -350,9 +359,15 @@ class TestPowerSums:
 
 class TestRecurrenceChoice:
     def test_any_pair_gives_the_cached_value(self):
-        for table in all_tables():
+        """Every entry is the subtract-and-divide recurrence for every
+        admissible pair, and each cached one, a division-free step, is
+        the bordered Vandermonde determinant too."""
+        for table in all_tables() + wide_tables():
             n, d = table.system.n, table.system.d
             for size in range(2, min(d + 1, n) + 1):
+                head = tuple(range(size))
+                assert table.divided_difference(head) == \
+                    divided_difference_determinant(table.system.polys, head)
                 for I in combinations(range(n), size):
                     want = table.divided_difference(I)
                     for p, q in permutations(I, 2):
@@ -367,28 +382,6 @@ class TestRecurrenceChoice:
             divided_difference_recursive(table, (0, 1), 0, 2)
         with pytest.raises(ValueError):
             divided_difference_recursive(table, (1,), 1, 1)
-
-
-class TestDivisionFreeStep:
-    """Each canonical entry is one ``Polynomial.divided_difference``; it
-    must equal the subtract-and-divide recurrence for every admissible
-    pair and the bordered Vandermonde determinant."""
-
-    @pytest.mark.parametrize("n", range(2, 8))
-    @pytest.mark.parametrize("d", range(1, 5))
-    def test_entries_match_both_slow_paths(self, n, d):
-        integer = random_integer_equivariant_system(
-            random.Random(f"step:{n}:{d}"), n, d).polys
-        for polys in (integer, generic_equivariant_system(n, d).polys):
-            table = DividedDifferenceTable(EquivariantSystem(polys)).freeze()
-            assert len(table.cached_subsets()) == min(d + 1, n) - 1
-            for I in table.cached_subsets():
-                want = table.divided_difference(I)
-                assert want.degree == d - len(I) + 1
-                assert divided_difference_determinant(polys, I) == want
-                for p, q in permutations(I, 2):
-                    got = divided_difference_recursive(table, I, p, q)
-                    assert got == want, (n, d, I, p, q)
 
 
 class TestCovariance:

@@ -544,7 +544,7 @@ def test_relabel_matches_a_sum_of_monomials(p, ambient, rng):
 def test_relabeler_collapses_like_relabel_for_every_partition(p, rng):
     """One relabeler serves every blockwise collapse of p, with the
     lead-first blocking of the chains and the plain one of rho_lambda,
-    and any other map."""
+    and any other map, each one the sum of monomials ``relabel`` is."""
     collapse = p.relabeler()
     maps = [[rng.randrange(2) for _ in range(p.ambient)]]
     for lam in partitions(p.ambient):
@@ -554,10 +554,19 @@ def test_relabeler_collapses_like_relabel_for_every_partition(p, rng):
     for target in maps:
         ambient = max(target) + 1
         got = collapse(target, ambient)
-        assert got == p.relabel(target, ambient)
+        assert got == relabel_by_sums(p, target, ambient)
         assert (got.ambient, got.degree) == (ambient, p.degree)
         kind = Coefficient if p.ring.params else int
         assert all(type(c) is kind and c for c in got.stored_terms.values())
+
+
+def test_relabel_rejects_a_map_out_of_range():
+    p = Polynomial.variable(ParameterRing(), 3, 2)
+    for relabel in (p.relabel, p.relabeler()):
+        for target, ambient in (([0, 1], 2), ([0, 1, 2, 0], 3),
+                                ([0, 1, 2], 2), ([0, 1, -1], 2)):
+            with pytest.raises(ValueError, match="not a map of 3 variables"):
+                relabel(target, ambient)
 
 
 @settings(max_examples=200, deadline=None)
