@@ -16,7 +16,8 @@ every entry is a plain int, as the polynomials store it, and
 When the denominator determinant vanishes (the formula is degenerate
 for the given coefficients even though the resultant itself is fine)
 the system is rerun through a deterministic sequence of unimodular
-changes of variables, which leave the resultant unchanged.  Systems
+changes of variables, each applied as transvections
+x_i -> x_i + c x_j, which leave the resultant unchanged.  Systems
 degenerate in every coordinate system fall back to a one-parameter
 diagonal perturbation whose value at zero is the resultant.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import cache
 from math import prod
 from operator import add
 from typing import List, Sequence
@@ -81,6 +83,28 @@ def is_dod(exponents: Monomial, degrees: Sequence[int]) -> bool:
     return sum(e >= d for e, d in zip(exponents, degrees)) >= 2
 
 
+@cache
+def _layout(degrees: tuple):
+    """What the Macaulay matrix owes to the degree tuple alone: the
+    monomials of critical degree, for each polynomial i a map from each
+    monomial of degree d_i to the cells (row * size + column) its
+    coefficient fills, and the dod positions."""
+    n = len(degrees)
+    mons = monomials_of_degree(n, sum(degrees) - n + 1)
+    size = len(mons)
+    pos = {m: r for r, m in enumerate(mons)}
+    cells = [{exp: [] for exp in monomials_of_degree(n, d)}
+             for d in degrees]
+    for c, beta in enumerate(mons):
+        i = index_function(beta, degrees)
+        shift = tuple(e - (degrees[i] if j == i else 0)
+                      for j, e in enumerate(beta))
+        for exp, spots in cells[i].items():
+            spots.append(pos[tuple(map(add, shift, exp))] * size + c)
+    dod = [r for r, m in enumerate(mons) if is_dod(m, degrees)]
+    return mons, cells, dod
+
+
 def macaulay_data(polys: Sequence[Polynomial]):
     """The Macaulay matrix, its monomial index, and the dod positions.
 
@@ -88,26 +112,20 @@ def macaulay_data(polys: Sequence[Polynomial]):
     in descending lex order; column beta holds the coefficients of
     (x^beta / x_i^{d_i}) * f_i for i the index function of beta.  The
     entries are the coefficients as the polynomials store them: ints
-    over Z, Coefficients over Z[params].
+    over Z, Coefficients over Z[params].  The layout is computed once
+    per degree tuple, so a call only fills the entries; the lists it
+    returns are its own.
     """
-    degrees = [p.degree for p in polys]
-    n = len(polys)
-    t = sum(degrees) - n + 1
-    mons = monomials_of_degree(n, t)
-    pos = {m: r for r, m in enumerate(mons)}
-    ring = polys[0].ring
-    zero = ring.zero() if ring.params else 0
+    mons, cells, dod = _layout(tuple(p.degree for p in polys))
     size = len(mons)
-    rows = [[zero] * size for _ in range(size)]
-    terms = [p.stored_terms for p in polys]
-    for c, beta in enumerate(mons):
-        i = index_function(beta, degrees)
-        shift = tuple(e - (degrees[i] if j == i else 0)
-                      for j, e in enumerate(beta))
-        for exp, coeff in terms[i].items():
-            rows[pos[tuple(map(add, shift, exp))]][c] = coeff
-    dod = [r for r, m in enumerate(mons) if is_dod(m, degrees)]
-    return rows, mons, dod
+    ring = polys[0].ring
+    flat = [ring.zero() if ring.params else 0] * (size * size)
+    for p, spots in zip(polys, cells):
+        for exp, coeff in p.stored_terms.items():
+            for cell in spots[exp]:
+                flat[cell] = coeff
+    rows = [flat[r:r + size] for r in range(0, size * size, size)]
+    return rows, list(mons), list(dod)
 
 
 def _validate_system(polys: Sequence[Polynomial]) -> None:
@@ -137,21 +155,23 @@ def _fingerprint(polys: Sequence[Polynomial]) -> bytes:
     return "\n".join(parts).encode()
 
 
-def _unimodular_images(rng: random.Random, polys: Sequence[Polynomial]):
-    """Variable images under a random determinant-one integer shear."""
+def _sheared(polys: Sequence[Polynomial], rng: random.Random):
+    """The system F(Ax) under a random determinant-one integer shear A.
+
+    A = E_m ... E_1 is built from the identity by row operations
+    E: row i += c * row j, E_1 drawn first, so F(Ax) applies the
+    transvection x_i -> x_i + c x_j of E_m first.
+    """
     n = len(polys)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = []
     for _ in range(n + 2):
         i = rng.randrange(n)
         j = rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice((-2, -1, 1, 2))
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    ring = polys[0].ring
-    xs = [Polynomial.variable(ring, n, j) for j in range(n)]
-    return {i: sum((xs[j] * rows[i][j] for j in range(n)),
-                   Polynomial.zero(ring, n, 1)) for i in range(n)}
+        if i != j:
+            ops.append((i, j, rng.choice((-2, -1, 1, 2))))
+    for i, j, c in reversed(ops):
+        polys = [p.transvect(i, j, c) for p in polys]
+    return polys
 
 
 def _try_quotient(polys: Sequence[Polynomial]):
@@ -222,8 +242,7 @@ def macaulay_resultant(polys: Sequence[Polynomial]) -> Coefficient:
     for attempt in range(MAX_UNIMODULAR_RETRIES):
         seed = int.from_bytes(
             hashlib.sha256(base + b"#%d" % attempt).digest()[:8], "big")
-        images = _unimodular_images(random.Random(seed), polys)
-        value = _try_quotient([p.substitute(images) for p in polys])
+        value = _try_quotient(_sheared(polys, random.Random(seed)))
         if value is not None:
             return value
     return _perturbed_resultant(polys)

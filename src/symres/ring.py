@@ -13,7 +13,8 @@ and share one term kernel, ``_accumulate``, ``_add``, ``_mul`` and
 ``_divide``; both are true exactly when nonzero, and their arithmetic
 results skip the checks of public construction through the private
 ``_trusted`` constructors.  So do ``substitute``, which computes each
-power of an image once per call, ``relabeler``, which serves
+power of an image once per call, ``transvect``, which expands
+x_i -> x_i + c x_j by the binomial theorem, ``relabeler``, which serves
 ``relabel``, ``permute`` and the blockwise collapses of the
 decomposition from term supports found once, ``divided_difference``,
 which forms (P - s(P)) / (x_q - x_p) term by term, and ``split_joint``
@@ -35,18 +36,17 @@ division follows the leading-term division algorithm, which succeeds if
 and only if the divisor divides the dividend.
 
 ``determinant`` picks one of three routes from the matrix alone: a
-matrix of ints is eliminated over plain ints (``_bareiss_int``); any
-other of at most ``MINORS_FIRST_MAX_DIM`` = 3 rows goes to the
-division-free ``determinant_minors``; a Coefficient matrix whose
-Kronecker packing fits in ``PACKED_MAX_BITS`` bits is packed into plain
-ints, eliminated once by ``_bareiss_int`` and read back
-(``_determinant_packed``), and so is a parameter-free one, whose
-one-point degree box packs nothing, at any width; any other symbolic
-matrix of at most ``MINOR_EXPANSION_MAX_DIM`` = 12 rows goes to
-``determinant_minors`` too, and a larger one to the fraction-free
-``determinant_bareiss``.  Both Bareiss loops pivot in each column on
-the smallest nonzero entry (fewest bits, or fewest terms), and packing
-sizes its digits by Hadamard's bound.  All three caps are measured.
+matrix of ints, or of parameter-free Coefficients read as ints, is
+eliminated over plain ints (``_bareiss_int``) at any width; any other
+of at most ``MINORS_FIRST_MAX_DIM`` = 3 rows goes to the division-free
+``determinant_minors``; a Coefficient matrix whose Kronecker packing
+fits in ``PACKED_MAX_BITS`` bits is packed into plain ints, eliminated
+once by ``_bareiss_int`` and read back (``_determinant_packed``); any
+other symbolic matrix of at most ``MINOR_EXPANSION_MAX_DIM`` = 12
+rows goes to ``determinant_minors`` too, and a larger one to the
+fraction-free ``determinant_bareiss``.  Both Bareiss loops pivot in each
+column on the smallest nonzero entry (fewest bits, or fewest terms), and
+packing sizes its digits by Hadamard's bound.  All three caps are measured.
 Packing makes every entry an integer as long as the determinant's
 degree box times its coefficient width, so it wins for few parameters
 and low degrees and loses badly past the cap.  On random Macaulay
@@ -64,8 +64,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress, product
-from operator import add, eq, itemgetter, sub
+from itertools import chain, compress, product
+from operator import add, eq, itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
@@ -702,6 +702,22 @@ class Polynomial:
             self.ring, self.ambient, self.degree - 1,
             _accumulate(_accumulate({}, gained), lost, True))
 
+    def transvect(self, i: int, j: int, c: int):
+        """x_i replaced by x_i + c x_j, for i != j and an int c, expanded
+        by the binomial theorem into one term dict: a term k x_i^a R
+        gives the sum over m of C(a, m) c^m k x_i^(a-m) x_j^m R."""
+        if i == j or not (0 <= i < self.ambient and 0 <= j < self.ambient):
+            raise ValueError(f"need two distinct variable indices: {i}, {j}")
+        items = []
+        for exp, k in self._terms.items():
+            a, b = exp[i], exp[j]
+            img = list(exp)
+            for m in range(a + 1):
+                img[i], img[j] = a - m, b + m
+                items.append((tuple(img), k * (math.comb(a, m) * c ** m)))
+        return Polynomial._trusted(self.ring, self.ambient, self.degree,
+                                   _accumulate({}, items))
+
     def derivative(self, i: int):
         if not 0 <= i < self.ambient:
             raise ValueError(f"variable index {i} out of range")
@@ -864,39 +880,46 @@ def _bareiss_int(rows: list) -> int:
     such row on a tie: a packed matrix holds entries of a few bits next
     to ones of thousands, and every product of the step, and so every
     later entry, grows with the pivot.  The pivot is searched in its
-    column only; a full search costs more than it saves on wide int
-    matrices.  Zero entries are skipped.  While the pivot equals the
-    previous one the scale is 1, so rows with a zero head keep their
-    values and the others change only where the pivot row is nonzero.
-    Every division is still checked.
+    column only, and the search stops at the first entry of one bit,
+    +-1, which no entry can beat; a full search costs more than it saves
+    on wide int matrices.  Zero entries are skipped.  A division by a
+    previous pivot of +-1 is a multiplication by it, and when the pivot
+    equals that previous pivot the scale is 1, so rows with a zero head
+    keep their values and the others change only where the pivot row is
+    nonzero.  Every other division is checked.
     """
     n = len(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
-        heads = [(x.bit_length(), i)
-                 for i, x in enumerate((row[k] for row in rows[k:]), k) if x]
-        if not heads:
+        i, fewest = -1, 0
+        for r, x in enumerate([row[k] for row in rows[k:]], k):
+            if x:
+                bits = x.bit_length()
+                if bits == 1:
+                    i = r
+                    break
+                if i < 0 or bits < fewest:
+                    i, fewest = r, bits
+        if i < 0:
             return 0
-        i = min(heads)[1]
         if i != k:
             rows[k], rows[i] = rows[i], rows[k]
             sign = -sign
         row_k = rows[k]
         pivot = row_k[k]
         cols = range(k + 1, n)
-        if pivot == prev:
+        if prev == 1 or prev == -1:  # the division is by a unit
+            scale = pivot * prev
             support = [j for j in cols if row_k[j]]
             for row_i in rows[k + 1:]:
-                head = row_i[k]
-                if head:
+                head = row_i[k] * prev
+                if scale != 1:
+                    for j in cols:
+                        row_i[j] = scale * row_i[j] - head * row_k[j]
+                elif head:
                     for j in support:
-                        q, r = divmod(head * row_k[j], prev)
-                        if r:
-                            raise NotDivisibleError(
-                                f"{format_int(prev)} does not divide "
-                                f"{format_int(head * row_k[j])}")
-                        row_i[j] -= q
+                        row_i[j] -= head * row_k[j]
         else:
             for row_i in rows[k + 1:]:
                 head = row_i[k]
@@ -963,28 +986,31 @@ def _determinant_packed(rows: list):
     t_i = 2^(K s_i), s_1 = 1 and s_(i+1) = s_i (D_i + 1), each exponent
     in the degree box owns its own digit, and the int determinant read
     back in signed K-bit digits is the polynomial one (von zur Gathen and
-    Gerhard, *Modern Computer Algebra*, 8.4).  A value outside the box
-    raises ArithmeticError.  A parameter-free matrix has the one-point
-    box: its entries pack to themselves, so the cap does not apply.
+    Gerhard, *Modern Computer Algebra*, 8.4).  The digits are read off
+    one binary string of the value, in linear time.  A value outside the
+    box raises ArithmeticError.
     """
-    first = rows[0][0]
-    if not isinstance(first, Coefficient):
+    if set(map(type, chain.from_iterable(rows))) != {Coefficient}:
         return None
-    ring = first.ring
-    if any(not isinstance(x, Coefficient) or x.ring is not ring
-           and x.ring != ring for row in rows for x in row):
-        return None
-    squares = [[sum(map(abs, x.terms.values())) ** 2 for x in row]
-               for row in rows]
+    ring = rows[0][0].ring
+    flat = (0,) * len(ring.params)
+    # each entry's squared l1-norm and largest exponent of every parameter
+    squares, tops = [], []
+    for row in rows:
+        row_squares, row_tops = [], []
+        for x in row:
+            if x.ring is not ring and x.ring != ring:
+                return None
+            terms = x.terms
+            row_squares.append(sum(map(abs, terms.values())) ** 2)
+            row_tops.append(tuple(map(max, zip(flat, *terms))))
+        squares.append(row_squares)
+        tops.append(row_tops)
     square_bound = min(math.prod(map(sum, squares)),
                        math.prod(map(sum, zip(*squares))))
     if not square_bound:
         return ring.zero()
     bound = math.isqrt(square_bound - 1) + 1
-    # each entry's largest exponent of every parameter
-    flat = (0,) * len(ring.params)
-    tops = [[tuple(map(max, zip(flat, *x.terms))) for x in row]
-            for row in rows]
 
     def degree_sums(lines):
         return [sum(col) for col in zip(*(map(max, zip(*line))
@@ -993,28 +1019,28 @@ def _determinant_packed(rows: list):
     sizes = [min(a, b) + 1
              for a, b in zip(degree_sums(tops), degree_sums(zip(*tops)))]
     k = bound.bit_length() + 1
-    length = math.prod(sizes)
-    if length > 1 and k * length > PACKED_MAX_BITS:
+    width = k * math.prod(sizes)
+    if width > PACKED_MAX_BITS:
         return None
     shifts = [k]
     for size in sizes[:-1]:
         shifts.append(shifts[-1] * size)
     packed = _bareiss_int(
-        [[sum(c << sum(e * s for e, s in zip(exp, shifts))
-              for exp, c in x.terms.items()) for x in row] for row in rows])
+        [[sum(c << sum(map(mul, exp, shifts)) for exp, c in x.terms.items())
+          for x in row] for row in rows])
     half = 1 << (k - 1)
-    mask = (1 << k) - 1
     # adding half to every digit makes them all nonnegative
-    rest = packed + half * (((1 << k * length) - 1) // mask)
-    if rest < 0 or rest >> k * length:
+    rest = packed + half * (((1 << width) - 1) // ((1 << k) - 1))
+    if rest < 0 or rest >> width:
         raise ArithmeticError("packed determinant outside its degree box")
+    bits, zero = format(rest, "b").zfill(width), format(half, "b")
     terms = {}
     for exp in product(*map(range, reversed(sizes))):
-        digit = (rest & mask) - half
-        rest >>= k
-        if digit:
-            terms[exp[::-1]] = digit
-    return Coefficient(ring, terms)
+        digit = bits[width - k:width]
+        width -= k
+        if digit != zero:
+            terms[exp[::-1]] = int(digit, 2) - half
+    return Coefficient._trusted(ring, terms)
 
 
 def determinant(m):
@@ -1023,23 +1049,33 @@ def determinant(m):
     The branch is chosen from the matrix alone:
 
       1. A matrix of plain ints is eliminated by ``_bareiss_int`` and
-         its value is an int.  Any other of at most
+         its value is an int.  So is a matrix of constant Coefficients
+         of one ring, read as ints, and its value is that ring's
+         constant.  The entry types are told apart by their set, taken
+         at C speed.  Any other matrix of at most
          ``MINORS_FIRST_MAX_DIM`` rows goes to ``determinant_minors``.
       2. A larger Coefficient matrix whose Kronecker packing (degree
          box times coefficient width) has at most ``PACKED_MAX_BITS`` bits is
          packed into plain ints, eliminated once by ``_bareiss_int``
          and unpacked by ``_determinant_packed``.  Past that cap the
-         big-int products cost more than the symbolic routes.  A
-         parameter-free Coefficient matrix has a one-point degree box,
-         packs nothing and always takes this route.
+         big-int products cost more than the symbolic routes.
       3. Other matrices with at most ``MINOR_EXPANSION_MAX_DIM`` rows use
          the division-free ``determinant_minors``, and larger ones
          ``determinant_bareiss``, whose exact divisions cost less than
          the 2^dim row subsets of minor expansion there.
     """
     rows = _as_rows(m)
-    if all(isinstance(x, int) for row in rows for x in row):
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if all(issubclass(kind, int) for kind in kinds):
         return _bareiss_int(rows)
+    if kinds == {Coefficient}:
+        ring = rows[0][0].ring
+        zero = (0,) * len(ring.params)
+        if not any(x.ring is not ring and x.ring != ring
+                   or len(x.terms) > (zero in x.terms)
+                   for row in rows for x in row):
+            return ring.constant(_bareiss_int(
+                [[x.terms.get(zero, 0) for x in row] for row in rows]))
     if len(rows) <= MINORS_FIRST_MAX_DIM:
         return determinant_minors(rows)
     packed = _determinant_packed(rows)

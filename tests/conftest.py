@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from operator import add
 
 from symres.combinatorics import (
     chain_coefficient_degree,
     m_lambda,
     partitions,
 )
+from symres.resultant import index_function, is_dod, monomials_of_degree
 from symres.ring import Coefficient, ParameterRing, Polynomial
 
 
@@ -109,3 +111,43 @@ def leading_term(p: Polynomial):
     """The lex-largest exponent of a nonzero ``p`` and its Coefficient."""
     exp = max(p.terms)
     return exp, p.terms[exp]
+
+
+def macaulay_data_uncached(polys):
+    """The Macaulay matrix, its monomials and dod positions, built from
+    nothing on every call: the slow path of the cached layout."""
+    degrees = [p.degree for p in polys]
+    n = len(polys)
+    mons = monomials_of_degree(n, sum(degrees) - n + 1)
+    pos = {m: r for r, m in enumerate(mons)}
+    ring = polys[0].ring
+    zero = ring.zero() if ring.params else 0
+    size = len(mons)
+    rows = [[zero] * size for _ in range(size)]
+    for c, beta in enumerate(mons):
+        i = index_function(beta, degrees)
+        shift = tuple(e - (degrees[i] if j == i else 0)
+                      for j, e in enumerate(beta))
+        for exp, coeff in polys[i].stored_terms.items():
+            rows[pos[tuple(map(add, shift, exp))]][c] = coeff
+    dod = [r for r, m in enumerate(mons) if is_dod(m, degrees)]
+    return rows, mons, dod
+
+
+def unimodular_images(rng: random.Random, polys):
+    """Variable images under a random determinant-one integer shear,
+    drawn as the retries draw it: the slow path of their transvections,
+    to be applied by ``Polynomial.substitute``."""
+    n = len(polys)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n + 2):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    ring = polys[0].ring
+    xs = [Polynomial.variable(ring, n, j) for j in range(n)]
+    return {i: sum((xs[j] * rows[i][j] for j in range(n)),
+                   Polynomial.zero(ring, n, 1)) for i in range(n)}

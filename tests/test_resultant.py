@@ -12,7 +12,13 @@ from itertools import product
 import pytest
 
 import symres.resultant as resultant_module
-from conftest import random_int_polynomial
+from conftest import (
+    macaulay_data_uncached,
+    random_coefficient,
+    random_int_polynomial,
+    random_polynomial,
+    unimodular_images,
+)
 from symres.equivariant import (
     decompose_resultant,
     random_integer_equivariant_system,
@@ -224,15 +230,19 @@ class TestDegenerateDenominator:
         assert want == Z.constant(-11520)
         assert macaulay_resultant(polys) == want
 
-    def test_vanishing_denominator_skips_numerator(self, monkeypatch):
-        # An equivariant (3, 2) system, slot values (1, -3, 3, 2), whose
-        # dod minor vanishes as given and after every shear; the value
-        # comes from the perturbation, which also tests its denominator
-        # before its numerator.
+    @staticmethod
+    def exhausting_system():
+        """An equivariant (3, 2) system, slot values (1, -3, 3, 2), whose
+        dod minor vanishes as given and after every shear."""
         e1 = "(x1 + x2 + x3)"
-        polys = [parse_poly(f"x{i}^2 - 3*x{i}*{e1} + 3*(x1*x2 + x1*x3 + "
-                            f"x2*x3) + 2*{e1}*{e1}", 3, Z, degree=2)
-                 for i in (1, 2, 3)]
+        return [parse_poly(f"x{i}^2 - 3*x{i}*{e1} + 3*(x1*x2 + x1*x3 + "
+                           f"x2*x3) + 2*{e1}*{e1}", 3, Z, degree=2)
+                for i in (1, 2, 3)]
+
+    def test_vanishing_denominator_skips_numerator(self, monkeypatch):
+        # The value of the exhausting system comes from the perturbation,
+        # which also tests its denominator before its numerator.
+        polys = self.exhausting_system()
         dims = []
 
         def counting(m):
@@ -340,6 +350,105 @@ class TestForcedFallbackChain:
             want = decompose_resultant(system).expand()
             self.check_step(monkeypatch, m, system.polys, want)
             monkeypatch.undo()
+
+
+class TestRetrySequence:
+    """The attempts of ``macaulay_resultant`` on seeded integer
+    equivariant draws whose dod minor vanishes as given, pinned: a drift
+    in the shears the retries draw or apply changes a count."""
+
+    @staticmethod
+    def attempts(monkeypatch, polys):
+        calls = []
+        real = resultant_module._try_quotient
+
+        def counting(system):
+            calls.append(len(system))
+            return real(system)
+
+        monkeypatch.setattr(resultant_module, "_try_quotient", counting)
+        value = macaulay_resultant(polys)
+        monkeypatch.undo()
+        return value, len(calls)
+
+    @pytest.mark.parametrize("d, seed, want", [
+        (2, 2, 2), (2, 3, 3), (2, 5, 4), (3, 2, 2), (3, 0, 3), (3, 101, 4)])
+    def test_seeded_draws(self, monkeypatch, d, seed, want):
+        system = random_integer_equivariant_system(random.Random(seed), 3, d)
+        value, attempts = self.attempts(monkeypatch, system.polys)
+        assert attempts == want
+        assert value == decompose_resultant(system).expand()
+
+    def test_every_retry_fails_then_the_perturbation(self, monkeypatch):
+        """The given coordinates, five retries, then the one lifted
+        quotient of the perturbation."""
+        polys = TestDegenerateDenominator.exhausting_system()
+        value, attempts = self.attempts(monkeypatch, polys)
+        assert attempts == resultant_module.MAX_UNIMODULAR_RETRIES + 2
+        assert value == Z.constant(-886464)
+
+
+def symbolic_polynomial(rng, ring, n, degree, n_terms=5):
+    terms = {}
+    for _ in range(n_terms):
+        exp = [0] * n
+        for _ in range(degree):
+            exp[rng.randrange(n)] += 1
+        terms[tuple(exp)] = random_coefficient(rng, ring, max_degree=2)
+    return Polynomial(ring, n, degree, terms)
+
+
+class TestShears:
+    """The retries apply their shear as transvections; ``substitute``
+    with the images of the shear matrix is the oracle."""
+
+    @pytest.mark.parametrize("ring", [Z, ParameterRing(("a", "b"))])
+    def test_transvections_match_substitute(self, ring):
+        rng = random.Random(37 + len(ring.params))
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            polys = [symbolic_polynomial(rng, ring, n, rng.randint(1, 4))
+                     for _ in range(n)]
+            seed = rng.getrandbits(64)
+            images = unimodular_images(random.Random(seed), polys)
+            assert resultant_module._sheared(polys, random.Random(seed)) \
+                == [p.substitute(images) for p in polys]
+
+    def test_transvect_needs_two_distinct_variables(self):
+        p = random_int_polynomial(random.Random(3), 3, 2)
+        for i, j in ((1, 1), (0, 3), (-1, 0)):
+            with pytest.raises(ValueError):
+                p.transvect(i, j, 2)
+
+
+class TestCachedLayout:
+    """``macaulay_data`` fills a layout cached per degree tuple; the
+    builder that starts from nothing on every call is its oracle."""
+
+    def test_matches_the_uncached_build(self):
+        rng = random.Random(44)
+        ab = ParameterRing(("a", "b"))
+        for n in range(1, 5):
+            for degrees in product(range(1, 5), repeat=n):
+                for ring in (Z, ab) if n < 4 else (Z,):
+                    polys = [random_polynomial(rng, ring, n, d, n_terms=6)
+                             for d in degrees]
+                    assert macaulay_data(polys) == \
+                        macaulay_data_uncached(polys)
+
+    def test_returned_lists_do_not_leak_into_the_next_call(self):
+        rng = random.Random(45)
+        first, second = ([random_int_polynomial(rng, 3, d, n_terms=6)
+                          for d in (2, 3, 2)] for _ in range(2))
+        rows, mons, dod = macaulay_data(first)
+        assert dod
+        mons.reverse()
+        mons.append((9, 9, 9))
+        dod.clear()
+        rows[0][0] = "changed"
+        rows[1].append(7)
+        for polys in (first, second):
+            assert macaulay_data(polys) == macaulay_data_uncached(polys)
 
 
 @pytest.mark.parametrize("seed", [16, 45])

@@ -703,20 +703,23 @@ def test_int_determinant_matches_slow_routes(rows):
 @settings(max_examples=50, deadline=None)
 @given(int_matrices())
 def test_constant_coefficient_matrix_lifts_back(rows):
+    """Constant Coefficients, read as ints by ``determinant``, give the
+    value and the Coefficient type of the generic Bareiss loop."""
     value = determinant(rows)
-    for ring in (Z, T):
+    for ring in (Z, T, ParameterRing(("a", "b", "c"))):
         entries = [[ring.constant(v) for v in row] for row in rows]
         lifted = determinant(entries)
-        assert isinstance(lifted, Coefficient) and lifted.ring == ring
+        assert type(lifted) is Coefficient and lifted.ring == ring
         assert lifted == ring.constant(value)
+        assert lifted == determinant_bareiss(entries)
         if len(rows) <= 6:
             assert lifted == determinant_cofactor(entries)
 
 
 def test_constant_matrix_past_the_cap_packs_nothing(monkeypatch):
     """A parameter-free matrix over Z[t] of more than three rows whose
-    Hadamard bound passes 2^15 bits has the one-point degree box: one
-    int elimination and no symbolic route."""
+    Hadamard bound passes 2^15 bits is read as ints: one int elimination
+    and no symbolic route."""
     big = 1 << 20000
     rows = [[T.constant(x) for x in row]
             for row in ((big, 3, 0, 1), (5, big + 1, -7, 0), (0, 2, big, 4),
@@ -802,6 +805,23 @@ def test_smallest_pivot_where_only_the_last_row_is_small():
     assert determinant_bareiss(rows) == expected
     assert determinant([[big, 0], [1, big]]) == big * big
     assert determinant([[big, 1], [2 * big, 2]]) == 0
+
+
+def test_int_pivot_is_the_first_entry_of_fewest_bits():
+    """The pivot scan stops at the first +-1 and otherwise picks the row
+    that ``min`` over (bits, row) picks: that row ends on top."""
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5, 12, (1 << 40) + 1))
+                 for _ in range(n)] for _ in range(n)]
+        heads = [(row[0].bit_length(), i) for i, row in enumerate(rows)
+                 if row[0]]
+        ints = [list(row) for row in rows]
+        first = ints[min(heads)[1]] if heads else None
+        assert ring_module._bareiss_int(ints) == determinant_minors(rows)
+        if heads:
+            assert ints[0] is first
 
 
 def test_smallest_pivot_on_coefficient_heads_of_differing_length():
@@ -955,10 +975,11 @@ def test_minor_expansion_drops_zero_minors(monkeypatch):
 
 
 def test_determinant_dispatch(monkeypatch):
-    """Ints go to the int loop, other matrices of 1-3 rows to minor
-    expansion, Coefficient matrices whose packing fits the cap (constant
-    ones always do) to one packed int elimination, larger symbolic ones
-    of up to 12 rows to minor expansion and the rest to Bareiss."""
+    """Ints (bools too) and parameter-free Coefficients go to the int
+    loop, other matrices of 1-3 rows to minor expansion, Coefficient
+    matrices whose packing fits the cap to one packed int elimination,
+    larger symbolic ones of up to 12 rows to minor expansion and the
+    rest to Bareiss; ints mixed with Coefficients are never packed."""
     seen = []
     for name in ("determinant_minors", "determinant_bareiss", "_bareiss_int",
                  "_determinant_packed"):
@@ -993,25 +1014,38 @@ def test_determinant_dispatch(monkeypatch):
     assert seen == [("_bareiss_int", 12)]
     s, t = ST.parameter("s"), ST.parameter("t")
     for n in (1, 2, 3):
-        for entry in (lambda i: s * (i + 1) - t, lambda i: T.constant(i + 2),
-                      lambda i: i + 2):
+        for entry, route in (
+                (lambda i: s * (i + 1) - t, "determinant_minors"),
+                (lambda i: T.constant(i + 2), "_bareiss_int"),
+                (lambda i: i + 2, "_bareiss_int")):
             seen.clear()
             rows = diagonal(n, entry)
             if n > 1:  # upper triangular
                 rows[0][-1] = entry(n)
             value = determinant(rows)
-            route = "_bareiss_int" if isinstance(entry(0), int) \
-                else "determinant_minors"
             assert seen == [(route, n)]
             assert value == prod(map(entry, range(n)), start=entry(0) ** 0)
     seen.clear()
     assert determinant(diagonal(4, lambda i: T.constant(i + 2))) == \
         T.constant(120)
-    assert seen == [("_determinant_packed", 4), ("_bareiss_int", 4)]
+    assert seen == [("_bareiss_int", 4)]
     seen.clear()
     assert determinant(diagonal(12, lambda i: T.constant(i + 2))) == \
         T.constant(prod(range(2, 14)))
-    assert seen == [("_determinant_packed", 12), ("_bareiss_int", 12)]
+    assert seen == [("_bareiss_int", 12)]
+    # bools are ints; ints mixed with Coefficients take the symbolic routes
+    t = T.parameter("t")
+    for rows, want, routes in (
+            ([[True, False], [True, True]], 1, ["_bareiss_int"]),
+            ([[T.constant(2), 1], [3, T.constant(4)]], T.constant(5),
+             ["determinant_minors"]),
+            (diagonal(4, lambda i: t if i == 3 else i + 1), t * 6,
+             ["_determinant_packed", "determinant_minors"]),
+            (diagonal(13, lambda i: t if i else 1), t ** 12,
+             ["_determinant_packed", "determinant_bareiss"])):
+        seen.clear()
+        assert determinant(rows) == want
+        assert [name for name, _ in seen] == routes
 
 
 # --- Kronecker packing --------------------------------------------------------
